@@ -35,6 +35,8 @@ import argparse
 import json
 import sys
 
+from repro import machines
+
 EXPERIMENTS = ("table1", "table2", "table3", "fig9a", "fig9b", "fig10a",
                "fig10b", "fig11", "fig12", "stalls", "headline")
 
@@ -136,37 +138,6 @@ def _emit_json(doc, dest):
         print(f"wrote {dest}", file=sys.stderr)
 
 
-def _sampling_params(args):
-    """Build validated :class:`SamplingParams` from ``--sample-*``."""
-    from repro.sampling import SamplingParams
-    return SamplingParams(
-        period=args.sample_period, window=args.sample_window,
-        warmup=args.warmup, phase=args.sample_phase,
-        max_windows=args.max_windows,
-        warm_lines=args.warm_lines).validate()
-
-
-def _run_sampled_machines(args):
-    """``repro run --sampled``: sampled execution on the selected
-    machine(s) (ISS fast path + detailed windows, repro.sampling)."""
-    from repro.sampling import run_sampled
-
-    if args.threads != 1:
-        raise SystemExit("--sampled models one hardware thread; "
-                         "drop --threads")
-    params = _sampling_params(args)
-    records = {}
-    if args.machine in ("both", "ooo"):
-        records["ooo"] = run_sampled(args.workload, machine="ooo",
-                                     scale=args.scale, params=params)
-    if args.machine in ("both", "diag"):
-        records["diag"] = run_sampled(
-            args.workload, machine="diag", config=args.config,
-            scale=args.scale, simt=getattr(args, "simt", False),
-            params=params)
-    return records
-
-
 def _sampled_line(record):
     """The CI-bound estimate line for a sampled record, or None."""
     windows = record.stat("sampling.windows")
@@ -180,26 +151,35 @@ def _sampled_line(record):
 
 
 def _run_machines(args, tracer=None):
-    """Run the workload on the machine(s) ``args.machine`` selects;
-    returns ``{machine_name: RunRecord}`` in run order."""
-    from repro.harness import run_baseline, run_diag
+    """Run the workload on the machine(s) ``args.machine`` selects —
+    in full detail, or with ``--sampled`` as a sampled run (ISS fast
+    path + detailed windows, repro.sampling); returns
+    ``{machine_name: RunRecord}`` in run order."""
+    from repro.harness import RunSpec, run_spec
+    from repro.sampling import SampledSpec
 
-    if getattr(args, "sampled", False):
-        return _run_sampled_machines(args)
-    no_ff = getattr(args, "no_fast_forward", False)
+    sampled = getattr(args, "sampled", False)
+    if sampled and args.threads != 1:
+        raise SystemExit("--sampled models one hardware thread; "
+                         "drop --threads")
     records = {}
-    if args.machine in ("both", "ooo"):
-        from repro.baseline.ooo import OoOConfig
-        records["ooo"] = run_baseline(
-            args.workload, scale=args.scale, threads=args.threads,
-            max_cycles=args.max_cycles, tracer=tracer,
-            config=OoOConfig(fast_forward=False) if no_ff else None)
-    if args.machine in ("both", "diag"):
-        records["diag"] = run_diag(
-            args.workload, config=args.config, scale=args.scale,
-            threads=args.threads, simt=getattr(args, "simt", False),
-            max_cycles=args.max_cycles, tracer=tracer,
-            config_overrides={"fast_forward": False} if no_ff else None)
+    for name in machines.select(args.machine):
+        common = dict(machine=name, workload=args.workload,
+                      config=machines.get(name).preset_for(args.config),
+                      scale=args.scale, simt=getattr(args, "simt", False))
+        if sampled:
+            spec = SampledSpec(
+                **common, period=args.sample_period,
+                window=args.sample_window, warmup=args.warmup,
+                phase=args.sample_phase, max_windows=args.max_windows,
+                warm_lines=args.warm_lines)
+        else:
+            spec = RunSpec(
+                **common, threads=args.threads,
+                max_cycles=args.max_cycles,
+                config_overrides={"fast_forward": False}
+                if getattr(args, "no_fast_forward", False) else ())
+        records[name] = run_spec(spec, tracer)
     return records
 
 
@@ -210,8 +190,6 @@ def _cmd_run(args):
         doc = next(iter(docs.values())) if len(docs) == 1 else docs
         _emit_json(doc, args.json)
         return 0 if all(r.verified for r in records.values()) else 1
-    base = records.get("ooo")
-    diag = records.get("diag")
     sampled = getattr(args, "sampled", False)
     mode = " [sampled]" if sampled else ""
     print(f"workload {args.workload} (scale {args.scale}, "
@@ -232,17 +210,22 @@ def _cmd_run(args):
         print(f"             {_cache_line(rec)}")
         print(f"             {_host_line(rec)}")
 
-    if base is not None:
-        print(f"  baseline : {_describe(base)}")
-        detail(base)
-    if diag is not None:
-        print(f"  DiAG {args.config:5s}: {_describe(diag)}")
-        detail(diag)
-    if base is not None and diag is not None and diag.cycles \
-            and not (base.failed or diag.failed):
-        print(f"  speedup {base.cycles / diag.cycles:.2f}x   "
-              f"energy efficiency "
-              f"{base.energy_j / diag.energy_j:.2f}x")
+    # the reference machine's row first; speedups are against it
+    base = None
+    for name, rec in sorted(records.items(), key=lambda item: not
+                            machines.get(item[0]).reference):
+        machine = machines.get(name)
+        print(f"  {machine.title.format(config=rec.config)}: "
+              f"{_describe(rec)}")
+        detail(rec)
+        if machine.reference:
+            base = rec
+    for rec in records.values():
+        if base is not None and rec is not base and rec.cycles \
+                and not (base.failed or rec.failed):
+            print(f"  speedup {base.cycles / rec.cycles:.2f}x   "
+                  f"energy efficiency "
+                  f"{base.energy_j / rec.energy_j:.2f}x")
     return 0 if all(r.verified for r in records.values()) else 1
 
 
@@ -554,11 +537,9 @@ def _verify_lockstep(args):
               f"{', '.join(sorted(all_workloads()))}", file=sys.stderr)
         return 2
     inst = get_workload(args.workload)().build(scale=args.scale)
-    machines = ("diag", "ooo") if args.machine == "both" \
-        else (args.machine,)
     failed = False
-    for machine in machines:
-        config = args.config if machine == "diag" else None
+    for machine in machines.select(args.machine):
+        config = machines.get(machine).preset_for(args.config)
         try:
             result = run_lockstep(
                 inst.program, machine=machine, config=config,
@@ -582,15 +563,14 @@ def _verify_torture(args):
     from repro.verify import run_torture
     from repro.verify.campaign import shrink_failures
 
-    machines = ("diag", "ooo") if args.machine == "both" \
-        else (args.machine,)
     ff_modes = {"both": (True, False), "on": (True,),
                 "off": (False,)}[args.ff]
     simt_modes = {"both": (False, True), "on": (True,),
                   "off": (False,)}[args.simt]
     monitor, server = _campaign_monitor(args, "torture")
     try:
-        report = run_torture(args.seed, args.count, machines=machines,
+        report = run_torture(args.seed, args.count,
+                             machines=machines.select(args.machine),
                              ff_modes=ff_modes, simt_modes=simt_modes,
                              ops=args.ops, jobs=args.jobs,
                              max_cycles=args.max_cycles,
@@ -718,11 +698,11 @@ def build_parser():
         else:
             p.add_argument("workload")
         p.add_argument("--machine", default=default_machine,
-                       choices=("both", "diag", "ooo"),
+                       choices=("both",) + machines.NAMES,
                        help="engine(s) to run "
                             f"(default: {default_machine})")
         p.add_argument("--config", default="F4C16",
-                       choices=("I4C2", "F4C2", "F4C16", "F4C32"))
+                       choices=machines.CONFIG_AXIS)
         p.add_argument("--scale", type=float, default=0.5)
         p.add_argument("--threads", type=int, default=1)
         if simt:
@@ -861,9 +841,9 @@ def build_parser():
         "faults", help="seed-driven transient fault-injection campaign")
     faults_p.add_argument("workload", nargs="?", default="nn")
     faults_p.add_argument("--machine", default="diag",
-                          choices=("diag", "ooo"))
+                          choices=machines.NAMES)
     faults_p.add_argument("--config", default="F4C2",
-                          choices=("I4C2", "F4C2", "F4C16", "F4C32"))
+                          choices=machines.CONFIG_AXIS)
     faults_p.add_argument("--scale", type=float, default=0.25)
     faults_p.add_argument("--trials", type=int, default=20)
     faults_p.add_argument("--seed", type=int, default=0)
@@ -928,9 +908,9 @@ def build_parser():
         "lockstep", help="run one workload in lockstep with the ISS")
     vl.add_argument("workload")
     vl.add_argument("--machine", default="both",
-                    choices=("both", "diag", "ooo"))
+                    choices=("both",) + machines.NAMES)
     vl.add_argument("--config", default="F4C2",
-                    choices=("I4C2", "F4C2", "F4C16", "F4C32"))
+                    choices=machines.CONFIG_AXIS)
     vl.add_argument("--scale", type=float, default=0.25)
     vl.add_argument("--max-cycles", type=int, default=None)
     vl.add_argument("--no-fast-forward", action="store_true")
@@ -944,7 +924,7 @@ def build_parser():
     vt.add_argument("--ops", type=int, default=40,
                     help="op groups per program (default 40)")
     vt.add_argument("--machine", default="both",
-                    choices=("both", "diag", "ooo"))
+                    choices=("both",) + machines.NAMES)
     vt.add_argument("--ff", default="both", choices=("both", "on", "off"),
                     help="fast-forward modes to cover (default both)")
     vt.add_argument("--simt", default="both",
@@ -965,7 +945,7 @@ def build_parser():
                     help="campaign base seed of the failing cell")
     vs.add_argument("--index", type=int, default=0)
     vs.add_argument("--machine", default="diag",
-                    choices=("diag", "ooo"))
+                    choices=machines.NAMES)
     vs.add_argument("--ops", type=int, default=40)
     vs.add_argument("--simt", action="store_true")
     vs.add_argument("--no-fast-forward", action="store_true")

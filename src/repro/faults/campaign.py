@@ -38,16 +38,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.baseline import OoOConfig, OoOCore
-from repro.core import CONFIG_PRESETS, DiAGProcessor, SimulationHang
-from repro.faults.injector import (
-    DIAG_SITES,
-    OOO_SITES,
-    FaultInjector,
-    FaultSpec,
-)
+from repro import machines
+from repro.core import SimulationHang
+from repro.faults.injector import FaultInjector, FaultSpec
+from repro.harness.runner import collect_stats
 from repro.iss import ISS
-from repro.obs import collect_diag, collect_ooo
 from repro.workloads import get_workload
 
 OUTCOMES = ("masked", "sdc", "detected", "hang", "timed_out")
@@ -128,10 +123,6 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def _machine_sites(machine):
-    return DIAG_SITES if machine == "diag" else OOO_SITES
-
-
 def _execute(machine, config, program, inst, injector, max_cycles):
     """One run with ``injector`` attached; returns (stats, memory,
     x-regs, f-regs) where ``stats`` is the run's flat registry dump.
@@ -140,20 +131,14 @@ def _execute(machine, config, program, inst, injector, max_cycles):
     ``core.cycles``, ``core.instructions``) out of ``stats`` rather
     than engine-private result fields, so both machines are handled by
     identical downstream code."""
-    if machine == "diag":
-        proc = DiAGProcessor(config, program)
-        inst.setup(proc.memory)
-        injector.attach(proc.rings[0], proc.hierarchy)
-        result = proc.run(max_cycles=max_cycles)
-        stats = collect_diag(result, proc.hierarchy).as_dict()
-        arch = proc.rings[0].arch
-        return stats, proc.memory, arch.x, arch.f
-    core = OoOCore(config, program)
-    inst.setup(core.hierarchy.memory)
-    injector.attach(core, core.hierarchy)
-    result = core.run(max_cycles=max_cycles)
-    stats = collect_ooo(result, core.hierarchy).as_dict()
-    return stats, core.hierarchy.memory, core.arch.x, core.arch.f
+    entry = machines.get(machine)
+    sim = entry.build(config, program)
+    inst.setup(sim.memory)
+    engine = sim.units[0]
+    injector.attach(engine, sim.hierarchies[0])
+    result = sim.runner.run(max_cycles=max_cycles)
+    stats = collect_stats(entry, result, sim.hierarchies).as_dict()
+    return stats, sim.memory, engine.arch.x, engine.arch.f
 
 
 def _golden(program, inst):
@@ -334,8 +319,9 @@ def run_campaign(workload, machine="diag", config="F4C2", scale=0.25,
                  journal=None, resume=False, progress=None):
     """Run a full injection campaign; returns a :class:`CampaignReport`.
 
-    ``config`` names a Table 2 preset for ``machine="diag"`` and is
-    ignored for ``machine="ooo"``. The per-trial cycle budget is 4x the
+    ``config`` names a preset of ``machine``; a preset of another
+    machine (the DiAG default ``F4C2`` on ``machine="ooo"``) means
+    this machine's default. The per-trial cycle budget is 4x the
     fault-free run (plus slack) so hangs and runaways terminate
     quickly; ``watchdog_window`` defaults to the clean cycle count plus
     slack, which no fault-free quiet period can approach. ``jobs`` > 1
@@ -347,8 +333,7 @@ def run_campaign(workload, machine="diag", config="F4C2", scale=0.25,
     :class:`repro.obs.progress.ProgressRenderer`) tracks the pooled
     path live; chunks — the journal's unit of work — are its cells.
     """
-    if machine not in ("diag", "ooo"):
-        raise ValueError(f"unknown machine {machine!r}")
+    entry = machines.get(machine)
     cls = get_workload(workload)
     inst = cls().build(scale=scale, threads=1, simt=False)
     program = inst.program
@@ -356,8 +341,7 @@ def run_campaign(workload, machine="diag", config="F4C2", scale=0.25,
 
     # Fault-free profiling run: learns the per-site event population
     # and the cycle budget, and proves the baseline is sound.
-    base_cfg = CONFIG_PRESETS[config] if machine == "diag" \
-        else OoOConfig()
+    base_cfg = entry.engine_config(config)
     profiler = FaultInjector(spec=None)
     stats, memory, x, f = _execute(
         machine, base_cfg, program, inst, profiler, None)
@@ -375,7 +359,7 @@ def run_campaign(workload, machine="diag", config="F4C2", scale=0.25,
     run_cfg = replace(base_cfg, watchdog_window=window)
     budget = 4 * clean_cycles + 2000
 
-    sites = _machine_sites(machine)
+    sites = entry.fault_sites
     population = {site: profiler.counts.get(site, 0) for site in sites}
     specs = plan_campaign(population, sites, trials, seed)
 

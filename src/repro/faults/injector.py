@@ -26,12 +26,14 @@ property the campaign runner's reproducibility guarantee rests on.
 
 from dataclasses import dataclass
 
+from repro.machines import MACHINES
+
 MASK32 = 0xFFFFFFFF
 
-#: value sites per machine (the cache site is shared)
-DIAG_SITES = ("pe", "lane", "cache")
-OOO_SITES = ("rob", "regfile", "cache")
-ALL_SITES = ("pe", "lane", "rob", "regfile", "cache")
+#: every value site; each machine's own (the cache site is shared) are
+#: its repro.machines entry's ``fault_sites``
+ALL_SITES = tuple(dict.fromkeys(
+    site for machine in MACHINES.values() for site in machine.fault_sites))
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,14 @@ from repro.harness.runner import (
     FAILURE_CLASSES,
     RUN_STATUSES,
     RunRecord,
+    RunSpec,
     classify_failure,
+    run_spec,
     run_baseline,
     run_diag,
     clear_cache,
 )
 from repro.harness.parallel import (
-    RunSpec,
     aggregate_stats,
     execute_spec,
     resolve_jobs,
@@ -57,6 +58,7 @@ __all__ = [
     "render_experiment",
     "run_baseline",
     "run_diag",
+    "run_spec",
     "run_fig10a",
     "run_fig10b",
     "run_fig11",

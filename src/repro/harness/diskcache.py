@@ -3,10 +3,11 @@
 The in-memory LRU in :mod:`repro.harness.runner` dies with the process;
 this cache makes clean :class:`~repro.harness.runner.RunRecord` objects
 survive across pytest invocations, CLI calls and pool workers. Entries
-are keyed by a content hash over the *full* run identity — machine,
-workload name **and program bytes**, config, scale, threads, simt,
-max_cycles, config overrides — plus the repo code version, so editing a
-workload or the simulator can never alias a stale record.
+are keyed by :func:`repro.harness.journal.spec_key` — a content hash
+over the *full* canonical run spec (machine, workload name **and
+program bytes**, config, overrides, scale, threads, simt, budget) plus
+the cache schema and repo code version — so editing a workload or the
+simulator can never alias a stale record.
 
 Design constraints (enforced by ``tests/test_diskcache.py``):
 
@@ -49,8 +50,9 @@ from repro.obs import telemetry
 
 #: bump when the entry format or RunRecord semantics change; old
 #: entries then simply stop matching and age out via LRU eviction
-#: (2: RunRecord gained ``failure_class``)
-CACHE_SCHEMA = 2
+#: (2: RunRecord gained ``failure_class``; 3: every run is keyed by
+#: ``journal.spec_key`` — older entries and journals re-execute)
+CACHE_SCHEMA = 3
 
 #: default LRU bound on entry files
 MAX_ENTRIES = 4096

@@ -8,10 +8,9 @@ paper itself projects from reduced inputs, Section 7.1).
 
 import math
 
-from repro.baseline import OoOConfig
 from repro.core import CONFIG_PRESETS, EnergyModel
-from repro.harness.parallel import RunSpec, prewarm
-from repro.harness.runner import run_baseline, run_diag
+from repro.harness.parallel import prewarm
+from repro.harness.runner import RunSpec, run_baseline, run_diag
 from repro.workloads import RODINIA_WORKLOADS, SPEC_WORKLOADS
 
 RODINIA = sorted(RODINIA_WORKLOADS)

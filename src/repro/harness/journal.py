@@ -17,10 +17,11 @@ diskcache "corruption is a miss" discipline)::
     {"schema": 1, "key": <spec content hash>, "sha": <record sha256>,
      "record": <base64(pickle(record))>}
 
-Keys are content hashes over the spec's full identity (dataclass
-fields + class name + code version via :func:`repro.harness.diskcache.
-key_for`), so a journal can never satisfy a spec from a different
-campaign, seed, scale or commit. See docs/RESILIENCE.md.
+Keys are :func:`spec_key` content hashes over the spec's full identity
+(dataclass fields + class name + the workload's program bytes + code
+version and cache schema via :func:`repro.harness.diskcache.key_for`),
+so a journal can never satisfy a spec from a different campaign, seed,
+scale, program or commit. See docs/RESILIENCE.md.
 """
 
 import base64
@@ -42,12 +43,18 @@ DEFAULT_DIR = ".repro_journal"
 
 
 def spec_key(spec):
-    """Content hash naming one spec (stable across processes/runs)."""
+    """Content hash naming one spec — the one run key of both cache
+    tiers, the journal and the run service. A spec's
+    ``program_digest()`` folds in its program bytes."""
     if dataclasses.is_dataclass(spec) and not isinstance(spec, type):
         ident = dataclasses.asdict(spec)
     else:
         ident = repr(spec)
-    return diskcache.key_for([type(spec).__name__, ident])
+    parts = [type(spec).__name__, ident]
+    digest = getattr(spec, "program_digest", None)
+    if digest is not None:
+        parts.append(digest())
+    return diskcache.key_for(parts)
 
 
 def journal_dir():

@@ -52,7 +52,6 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from repro.obs import deterministic_view, merge_flat
 from repro.obs import telemetry
@@ -76,88 +75,14 @@ RETRY_LIMIT = 2
 SERIAL_RETRY_FLOOR = 60.0
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """One picklable run request: everything :func:`repro.harness.
-    runner.run_diag` / ``run_baseline`` need to reproduce a run in
-    another process."""
-
-    machine: str                 # 'diag' or 'ooo'
-    workload: str
-    config: str = None           # Table 2 preset name (diag only)
-    scale: float = 1.0
-    threads: int = 1
-    simt: bool = False
-    num_clusters: int = None
-    max_cycles: int = None
-    config_overrides: tuple = ()  # sorted ((knob, value), ...) pairs
-
-    def __post_init__(self):
-        if self.machine not in ("diag", "ooo"):
-            raise ValueError(f"unknown machine {self.machine!r}")
-        if isinstance(self.config_overrides, dict):
-            object.__setattr__(
-                self, "config_overrides",
-                tuple(sorted(self.config_overrides.items())))
-
-    @classmethod
-    def diag(cls, workload, config="F4C32", **kwargs):
-        return cls(machine="diag", workload=workload, config=config,
-                   **kwargs)
-
-    @classmethod
-    def ooo(cls, workload, **kwargs):
-        return cls(machine="ooo", workload=workload, **kwargs)
-
-    @classmethod
-    def from_dict(cls, doc):
-        """Canonicalize a JSON-shaped mapping (a service request body,
-        a saved sweep point) into a RunSpec. Unknown fields raise
-        ``ValueError`` — a typo'd knob must never silently alias the
-        default-config run's cache identity."""
-        import dataclasses
-        if not isinstance(doc, dict):
-            raise ValueError(f"spec must be an object, got "
-                             f"{type(doc).__name__}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(
-                f"unknown spec field(s): {', '.join(sorted(unknown))}")
-        kwargs = dict(doc)
-        overrides = kwargs.get("config_overrides")
-        if isinstance(overrides, list):
-            try:
-                kwargs["config_overrides"] = tuple(
-                    sorted((str(k), v) for k, v in overrides))
-            except (TypeError, ValueError):
-                raise ValueError("config_overrides must be a mapping "
-                                 "or a list of [knob, value] pairs")
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ValueError(str(exc))
-
-    def failure_record(self, status, error, failure_class):
-        """Synthesize the record for a spec the harness could not
-        execute (quarantine, serial-retry timeout) — same protocol any
-        ``.execute()``-style spec may implement."""
-        from repro.harness.runner import RunRecord
-        config = self.config or ("F4C32" if self.machine == "diag"
-                                 else "ooo8")
-        return RunRecord(workload=self.workload, machine=self.machine,
-                         config=config, threads=self.threads,
-                         simt=self.simt, status=status, error=error,
-                         failure_class=failure_class)
-
-
 def execute_spec(spec, run_id=None, span=None):
     """Run one spec in this process; the pool's worker entry point,
     but equally the serial path.
 
-    Any picklable spec object exposing ``.execute()`` (e.g.
-    :class:`repro.verify.campaign.TortureSpec`) runs through the same
-    pool/degradation machinery as a :class:`RunSpec`.
+    Any picklable spec object exposing ``.execute()`` — a
+    :class:`RunSpec`, a :class:`repro.sampling.SampledSpec`, a
+    :class:`repro.verify.campaign.TortureSpec` — runs through the same
+    pool/degradation machinery.
 
     ``run_id``/``span`` are the telemetry identity the scheduling
     parent assigned this attempt; when present, a ``started`` event is
@@ -176,23 +101,7 @@ def execute_spec(spec, run_id=None, span=None):
             "started", run=run_id, span=span,
             label=getattr(spec, "workload", type(spec).__name__))
     with telemetry.run_scope(run_id, span):
-        execute = getattr(spec, "execute", None)
-        if callable(execute):
-            return execute()
-
-        from repro.harness.runner import run_baseline, run_diag
-
-        if spec.machine == "diag":
-            return run_diag(spec.workload,
-                            config=spec.config or "F4C32",
-                            scale=spec.scale, threads=spec.threads,
-                            simt=spec.simt,
-                            num_clusters=spec.num_clusters,
-                            max_cycles=spec.max_cycles,
-                            config_overrides=dict(spec.config_overrides))
-        return run_baseline(spec.workload, scale=spec.scale,
-                            threads=spec.threads,
-                            max_cycles=spec.max_cycles)
+        return spec.execute()
 
 
 def resolve_jobs(jobs=None):

@@ -18,7 +18,9 @@ variable, else serial) and shards its points across the
 
 from dataclasses import dataclass, field
 
-from repro.harness.parallel import RunSpec, run_specs
+from repro import machines
+from repro.harness.parallel import run_specs
+from repro.harness.runner import RunSpec
 from repro.harness.report import format_table
 from repro.obs import merge_flat
 
@@ -134,8 +136,10 @@ def sweep_sample_period(workload, scale=1.0, machine="diag",
                         journal=None, resume=False, progress=None):
     """Sampled-simulation accuracy vs. speed: sweep the period
     (:mod:`repro.sampling`). Imported lazily — sampling imports the
-    runner, and this module must stay importable from it."""
+    runner, and this module must stay importable from it. ``config``
+    names a DiAG preset; other machines run their default."""
     from repro.sampling import SampledSpec
+    config = machines.get(machine).preset_for(config)
     specs = [SampledSpec(workload=workload, machine=machine,
                          config=config, scale=scale, period=period,
                          window=min(window, max(1, period - warmup)),

@@ -23,7 +23,6 @@ from repro.obs import telemetry
 
 from repro.obs.bridge import (
     SHARED_CORE_COUNTERS,
-    attach_tracer_names,
     collect_diag,
     collect_hierarchy,
     collect_iss,
@@ -80,7 +79,6 @@ __all__ = [
     "openmetrics_flat",
     "read_events",
     "telemetry",
-    "attach_tracer_names",
     "collect_diag",
     "collect_hierarchy",
     "collect_iss",

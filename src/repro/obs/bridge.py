@@ -39,27 +39,29 @@ SHARED_CORE_COUNTERS = (
 )
 
 
-def _collect_core(registry, *, cycles, instructions, branches,
-                  taken_branches, mispredicts, loads, stores,
-                  store_forwards, stall_cycles):
-    """The shared ``core.*`` namespace (identical for both engines)."""
+def _collect_core(registry, result):
+    """The shared ``core.*`` namespace (identical for both engines:
+    both results carry ``cycles`` and the same-named stats fields)."""
+    stats = result.stats
+    cycles, instructions = result.cycles, stats.retired
     core = registry.group("core")
     core.counter("cycles", "simulated cycles").inc(cycles)
     core.counter("instructions", "retired instructions").inc(instructions)
     core.set("ipc", instructions / cycles if cycles else 0.0,
              desc="retired instructions per cycle")
-    core.counter("branches", "conditional branches seen").inc(branches)
+    core.counter("branches", "conditional branches seen") \
+        .inc(stats.branches)
     core.counter("taken_branches", "branches resolved taken") \
-        .inc(taken_branches)
+        .inc(stats.taken_branches)
     core.counter("mispredicts", "control-flow mispredictions") \
-        .inc(mispredicts)
-    core.counter("loads", "load instructions").inc(loads)
-    core.counter("stores", "store instructions").inc(stores)
+        .inc(stats.mispredicts)
+    core.counter("loads", "load instructions").inc(stats.loads)
+    core.counter("stores", "store instructions").inc(stats.stores)
     core.counter("store_forwards", "loads satisfied by forwarding") \
-        .inc(store_forwards)
+        .inc(stats.store_forwards)
     total = 0
     by_reason = {}
-    for reason, count in stall_cycles.items():
+    for reason, count in stats.stall_cycles.items():
         key = reason.value if hasattr(reason, "value") else str(reason)
         by_reason[key] = by_reason.get(key, 0) + count
         total += count
@@ -143,16 +145,7 @@ def collect_diag(result, hierarchy=None, registry=None):
     """Registry for one DiAG run (:class:`repro.core.DiAGResult`)."""
     registry = registry if registry is not None else StatsRegistry()
     stats = result.stats
-    _collect_core(registry,
-                  cycles=result.cycles,
-                  instructions=stats.retired,
-                  branches=stats.branches,
-                  taken_branches=stats.taken_branches,
-                  mispredicts=stats.mispredicts,
-                  loads=stats.loads,
-                  stores=stats.stores,
-                  store_forwards=stats.store_forwards,
-                  stall_cycles=stats.stall_cycles)
+    _collect_core(registry, result)
     for index, ring_stats in enumerate(result.ring_stats):
         _collect_ring_detail(registry, ring_stats, f"diag.ring{index}")
     if not result.ring_stats:
@@ -170,16 +163,7 @@ def collect_ooo(result, hierarchies=None, registry=None):
     """Registry for one baseline run (OoOResult or MulticoreResult)."""
     registry = registry if registry is not None else StatsRegistry()
     stats = result.stats
-    _collect_core(registry,
-                  cycles=result.cycles,
-                  instructions=stats.retired,
-                  branches=stats.branches,
-                  taken_branches=stats.taken_branches,
-                  mispredicts=stats.mispredicts,
-                  loads=stats.loads,
-                  stores=stats.stores,
-                  store_forwards=stats.store_forwards,
-                  stall_cycles=stats.stall_cycles)
+    _collect_core(registry, result)
     ooo = registry.group("ooo")
     ooo.counter("fetched", "instructions fetched").inc(stats.fetched)
     ooo.counter("renames", "rename operations").inc(stats.renames)
@@ -230,12 +214,3 @@ def collect_iss(iss, registry=None):
                     f"dynamic {mnemonic} count").inc(count)
     return registry
 
-
-def attach_tracer_names(tracer, machine, num_threads=1):
-    """Label the trace's process/thread tracks for one machine."""
-    pid = 0 if machine == "diag" else 1
-    tracer.set_process(pid, machine)
-    label = "ring" if machine == "diag" else "core"
-    for tid in range(num_threads):
-        tracer.set_thread(pid, tid, f"{label}{tid}")
-    return pid

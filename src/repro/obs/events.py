@@ -27,8 +27,8 @@ EVENT_NAMES = ("dispatch", "execute", "retire", "squash", "mispredict",
 class EventTracer:
     """Ring-buffer-bounded structured event recorder.
 
-    ``pid`` identifies the machine (0 = diag, 1 = ooo by convention —
-    see :func:`repro.obs.bridge.attach_tracer_names`), ``tid`` the ring
+    ``pid`` identifies the machine (its ``track_pid`` in the
+    :mod:`repro.machines` registry: 0 = diag, 1 = ooo), ``tid`` the ring
     or core within it. Timestamps are simulated cycles; the exporter
     maps one cycle to one trace microsecond so Perfetto's zoom works.
     """

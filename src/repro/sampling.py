@@ -40,34 +40,22 @@ telemetry event carrying the parent run's identity.
 """
 
 import math
-import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
-from repro.baseline import BaselinePowerModel, OoOConfig, OoOCore
+from repro import machines
 from repro.checkpoint import restore_state, save_state
-from repro.core import CONFIG_PRESETS, EnergyModel
 from repro.core.lanes import ArchLanes
-from repro.core.ring import RingEngine
-from repro.core.watchdog import SimulationHang
-from repro.harness.runner import (
-    RunRecord,
-    _built,
-    _cached,
-    classify_failure,
-)
+from repro.harness.runner import WorkloadSpec, run_spec
 from repro.iss.simulator import ISS, HaltReason
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import (
-    PhaseProfiler,
     StatsRegistry,
     collect_iss,
     export_iss_throughput,
     telemetry,
 )
-from repro.workloads import get_workload
-
-MACHINES = ("diag", "ooo")
 
 #: functional-path instruction bound (mirrors ISS.run's default)
 DEFAULT_MAX_STEPS = 5_000_000
@@ -132,10 +120,6 @@ class SamplingParams:
         if self.warm_lines < 0:
             raise ValueError("warm_lines must be >= 0")
         return self
-
-    def key(self):
-        """Run-cache key component (order-stable)."""
-        return tuple(sorted(asdict(self).items()))
 
 
 @dataclass
@@ -276,12 +260,10 @@ def warm_engine(machine, cfg, program, clone):
     oldest-first through the data side, reconstructing the cache
     recency state the full-detail run would have at this point —
     without that, every window re-pays compulsory misses the full run
-    amortized long ago. The OoO core additionally receives copies of
-    the trace's trained gshare/BTB/RAS (cold front-end state biases
-    branch-heavy windows the same way cold caches do). Cache stats are
-    reset afterwards so priming is invisible."""
-    if machine not in MACHINES:
-        raise ValueError(f"unknown machine {machine!r}")
+    amortized long ago; cache stats are reset afterwards so priming is
+    invisible. The machine's own :meth:`window_engine` adds its
+    front-end warming (the OoO core's trained gshare/BTB/RAS)."""
+    entry = machines.get(machine)
     arch = ArchLanes()
     arch.x = list(clone.x)
     arch.f = list(clone.f)
@@ -295,16 +277,7 @@ def warm_engine(machine, cfg, program, clone):
         l1d.stats.reset()
         hierarchy.l1i.stats.reset()
         hierarchy.l2.stats.reset()
-    if machine == "diag":
-        engine = RingEngine(cfg, hierarchy, program,
-                            entry_pc=clone.pc, arch=arch)
-    else:
-        engine = OoOCore(cfg, program, hierarchy=hierarchy, arch=arch,
-                         load_image=False, entry_pc=clone.pc)
-        if warm is not None:
-            engine.predictor = warm.predictor_copy()
-            engine.btb = dict(warm.btb)
-            engine.ras = list(warm.ras)
+    engine = entry.window_engine(cfg, program, hierarchy, arch, clone)
     engine.csrs = dict(clone.csrs)
     return engine, hierarchy
 
@@ -313,25 +286,11 @@ def _energy_total(machine, cfg, engine, hierarchy):
     """Cumulative energy of the engine so far. Both models are linear
     in cumulative counters (+ static power linear in cycles), so two
     calls bracket a window exactly."""
-    if machine == "diag":
-        view = _EnergyView(engine.cycle, engine.stats,
-                           [engine.stats])
-        return EnergyModel(cfg).energy_report(view, hierarchy).total_j
-    view = _EnergyView(engine.cycle, engine.stats)
-    return BaselinePowerModel(cfg, num_cores=1).energy_report(
-        view, [hierarchy]).total_j
-
-
-class _EnergyView:
-    """Duck-typed result shim for the energy models (.cycles, .stats,
-    .ring_stats)."""
-
-    __slots__ = ("cycles", "stats", "ring_stats")
-
-    def __init__(self, cycles, stats, ring_stats=None):
-        self.cycles = cycles
-        self.stats = stats
-        self.ring_stats = ring_stats if ring_stats is not None else []
+    # a duck-typed run result: one engine, so one ring
+    view = SimpleNamespace(cycles=engine.cycle, stats=engine.stats,
+                           ring_stats=[engine.stats])
+    return machines.get(machine).energy(cfg, view,
+                                        [hierarchy]).total_j
 
 
 def measure_window(machine, cfg, program, iss, warm_to, window):
@@ -405,183 +364,22 @@ def run_sampled(workload, machine="diag", config=None, scale=1.0,
     Only ``threads=1`` workloads are samplable (the ISS models one
     hardware thread); SIMT is supported on the DiAG engine with
     windows pinned to SIMT region boundaries."""
-    if machine not in MACHINES:
-        raise ValueError(f"unknown machine {machine!r}")
     params = (params or SamplingParams()).validate()
-    overrides = dict(config_overrides or {})
-    if machine == "diag":
-        cfg = CONFIG_PRESETS[config or "F4C32"]
-        if overrides:
-            cfg = cfg.with_overrides(**overrides)
-    else:
-        if overrides:
-            raise ValueError("config_overrides apply to diag presets "
-                             "only; pass an OoOConfig field instead")
-        cfg = OoOConfig()
-    cls = get_workload(workload)
-    use_simt = simt and cls.SIMT_CAPABLE and machine == "diag"
-    bound = max_steps if max_steps is not None else DEFAULT_MAX_STEPS
-    record = RunRecord(workload=workload, machine=machine,
-                       config=cfg.name, threads=1, simt=use_simt)
-    profiler = PhaseProfiler()
-    start_wall = time.time()
-    try:
-        with profiler.phase("build"):
-            inst, digest = _built(cls, scale, 1, use_simt)
-    except Exception as exc:
-        record.status = "error"
-        record.error = f"{type(exc).__name__}: {exc}"
-        record.wall_seconds = time.time() - start_wall
-        record.failure_class = classify_failure(record.status)
-        return record
-    key = ("sampled", machine, workload, cfg.name, scale, use_simt,
-           bound, params.key(), tuple(sorted(overrides.items())),
-           digest)
-
-    def factory():
-        try:
-            with profiler.phase("build"):
-                iss = ISS(inst.program)
-                inst.setup(iss.memory)
-                if params.warm_lines:
-                    iss.warm_trace = WarmTrace(
-                        params.warm_lines,
-                        cfg.hierarchy_config().line_bytes)
-            windows = []
-            truncated = 0
-            index = 0
-            while not (params.max_windows
-                       and index >= params.max_windows):
-                start_at = params.phase + index * params.period
-                index += 1
-                clone_at = max(0, start_at - params.warmup)
-                if clone_at >= bound:
-                    break
-                with profiler.phase("ff"):
-                    reason = iss.run_to_boundary(clone_at)
-                if reason is not HaltReason.MAX_STEPS:
-                    break  # program finished on the functional path
-                # SIMT boundaries can overshoot the nominal clone
-                # point; warm up to the nominal start, never negative
-                boundary = iss.stats.instructions
-                warm_to = max(0, start_at - boundary)
-                with profiler.phase("window"):
-                    measured = measure_window(
-                        machine, cfg, inst.program, iss, warm_to,
-                        params.window)
-                if measured is None:
-                    truncated += 1
-                    continue
-                insts, cycles, energy, w_insts, w_cycles = measured
-                if insts < params.window:
-                    # the program's tail: a short window biases the
-                    # estimator (drain effects), so count it out
-                    truncated += 1
-                    continue
-                sample = WindowSample(
-                    index=len(windows), start=boundary + w_insts,
-                    instructions=insts, cycles=cycles, energy_j=energy,
-                    warmup_instructions=w_insts,
-                    warmup_cycles=w_cycles)
-                windows.append(sample)
-                telemetry.emit(
-                    "sample_window", index=sample.index,
-                    start=sample.start, instructions=insts,
-                    cycles=cycles, ipc=round(sample.ipc, 6))
-            with profiler.phase("ff"):
-                reason = iss.run(max_steps=bound)
-            halted = reason in (HaltReason.EBREAK, HaltReason.ECALL)
-            record.instructions = iss.stats.instructions
-            record.status = "ok" if halted else "timed_out"
-            with profiler.phase("verify"):
-                record.verified = halted and bool(
-                    inst.verify(iss.memory))
-            if not windows:
-                record.status = "error"
-                record.error = (
-                    "sampling produced no windows: the run retired "
-                    f"{record.instructions} instructions but the "
-                    f"schedule (period={params.period}, "
-                    f"window={params.window}, warmup={params.warmup}, "
-                    f"phase={params.phase}) fit none of them")
-                record.failure_class = classify_failure(record.status)
-                record.wall_seconds = time.time() - start_wall
-                return record
-            mean, ci, std = estimate([w.ipc for w in windows],
-                                     params.ci_floor_rel)
-            detail = sum(w.instructions for w in windows)
-            detail_cycles = sum(w.cycles for w in windows)
-            warm_insts = sum(w.warmup_instructions for w in windows)
-            coverage = detail / record.instructions \
-                if record.instructions else 0.0
-            energy_detail = sum(w.energy_j for w in windows)
-            record.cycles = int(round(record.instructions / mean)) \
-                if mean > 0 else 0
-            record.energy_j = (energy_detail / detail) \
-                * record.instructions if detail else 0.0
-            record.extra = {
-                "sampling": asdict(params),
-                "windows": [asdict(w) for w in windows],
-                "truncated_windows": truncated,
-                "params": inst.params,
-            }
-            registry = StatsRegistry()
-            group = registry.group("sampling")
-            group.set("windows", len(windows),
-                      "measured timing windows")
-            group.set("truncated_windows", truncated,
-                      "windows dropped at the run tail")
-            group.set("ipc_mean", mean, "sampled IPC point estimate")
-            group.set("ipc_ci95", ci, "95% CI half-width on ipc_mean")
-            group.set("ipc_ci95_rel", ci / mean if mean else 0.0,
-                      "relative 95% CI half-width")
-            group.set("ipc_std", std,
-                      "per-window IPC standard deviation")
-            group.set("coverage", coverage,
-                      "fraction of instructions measured in detail")
-            group.set("detail_instructions", detail,
-                      "instructions measured in windows")
-            group.set("detail_cycles", detail_cycles,
-                      "engine cycles spent in measured windows")
-            group.set("warmup_instructions", warm_insts,
-                      "instructions spent warming engines (gated off)")
-            group.set("energy_j", record.energy_j,
-                      "extrapolated total energy")
-            group.set("period", params.period, "sampling period")
-            group.set("window", params.window, "window length")
-            group.set("warmup", params.warmup, "warmup length")
-            group.set("phase", params.phase, "schedule phase offset")
-            hist = group.histogram("window_ipc",
-                                   "per-window IPC distribution")
-            for w in windows:
-                hist.sample(w.ipc)
-            collect_iss(iss, registry=registry)
-            profiler.export(registry)
-            export_iss_throughput(registry, iss.stats.instructions,
-                                  profiler.seconds("ff"))
-            record.stats = registry.as_dict()
-        except SimulationHang as exc:
-            record.status = "hang"
-            record.error = str(exc)
-            record.cycles = exc.cycle
-        except Exception as exc:
-            record.status = "error"
-            record.error = f"{type(exc).__name__}: {exc}"
-        record.wall_seconds = time.time() - start_wall
-        record.failure_class = classify_failure(record.status)
-        return record
-
-    return _cached(key, factory)
+    return run_spec(SampledSpec(
+        workload=workload, machine=machine, config=config, scale=scale,
+        simt=simt, max_steps=max_steps,
+        config_overrides=config_overrides or (), **asdict(params)))
 
 
-# ----------------------------------------------------------------- pool
+# ----------------------------------------------------------------- spec
 
 @dataclass(frozen=True)
-class SampledSpec:
-    """A picklable sampled-run cell for :func:`repro.harness.parallel.
-    run_specs` — same ``.execute()`` / ``.failure_record()`` protocol
-    as ``RunSpec``/``TortureSpec``, and the journal's content-hash
-    ``spec_key`` covers every field below automatically."""
+class SampledSpec(WorkloadSpec):
+    """A picklable, canonical sampled-run cell (what :func:`run_sampled`
+    executes and ``run_specs`` ships to workers); its ``spec_key``
+    covers every field below."""
+
+    threads = 1  # a sampled run models one hardware thread
 
     workload: str
     machine: str = "diag"
@@ -599,8 +397,9 @@ class SampledSpec:
     config_overrides: tuple = ()
 
     def __post_init__(self):
-        if self.machine not in MACHINES:
-            raise ValueError(f"unknown machine {self.machine!r}")
+        self._canonicalize()
+        if self.max_steps is None:
+            object.__setattr__(self, "max_steps", DEFAULT_MAX_STEPS)
         self.params  # validate the schedule at construction time
 
     @property
@@ -612,17 +411,127 @@ class SampledSpec:
             ci_floor_rel=self.ci_floor_rel,
             warm_lines=self.warm_lines).validate()
 
-    def execute(self):
-        return run_sampled(
-            self.workload, machine=self.machine, config=self.config,
-            scale=self.scale, simt=self.simt, params=self.params,
-            max_steps=self.max_steps,
-            config_overrides=dict(self.config_overrides))
-
-    def failure_record(self, status, error, failure_class):
-        config = self.config or ("F4C32" if self.machine == "diag"
-                                 else "ooo8")
-        return RunRecord(workload=self.workload, machine=self.machine,
-                         config=config, threads=1, simt=self.simt,
-                         status=status, error=error,
-                         failure_class=failure_class)
+    def simulate(self, record, inst, profiler, tracer=None):
+        """The sampled run body of :func:`repro.harness.runner.
+        run_spec`: the ISS runs the program functionally, pausing at
+        every window boundary to measure a warm-started engine."""
+        machine, params = self.machine, self.params
+        cfg = self.resolved_config()
+        bound = self.max_steps
+        with profiler.phase("build"):
+            iss = ISS(inst.program)
+            inst.setup(iss.memory)
+            if params.warm_lines:
+                iss.warm_trace = WarmTrace(
+                    params.warm_lines,
+                    cfg.hierarchy_config().line_bytes)
+        windows = []
+        truncated = 0
+        index = 0
+        while not (params.max_windows
+                   and index >= params.max_windows):
+            start_at = params.phase + index * params.period
+            index += 1
+            clone_at = max(0, start_at - params.warmup)
+            if clone_at >= bound:
+                break
+            with profiler.phase("ff"):
+                reason = iss.run_to_boundary(clone_at)
+            if reason is not HaltReason.MAX_STEPS:
+                break  # program finished on the functional path
+            # SIMT boundaries can overshoot the nominal clone
+            # point; warm up to the nominal start, never negative
+            boundary = iss.stats.instructions
+            warm_to = max(0, start_at - boundary)
+            with profiler.phase("window"):
+                measured = measure_window(
+                    machine, cfg, inst.program, iss, warm_to,
+                    params.window)
+            if measured is None:
+                truncated += 1
+                continue
+            insts, cycles, energy, w_insts, w_cycles = measured
+            if insts < params.window:
+                # the program's tail: a short window biases the
+                # estimator (drain effects), so count it out
+                truncated += 1
+                continue
+            sample = WindowSample(
+                index=len(windows), start=boundary + w_insts,
+                instructions=insts, cycles=cycles, energy_j=energy,
+                warmup_instructions=w_insts,
+                warmup_cycles=w_cycles)
+            windows.append(sample)
+            telemetry.emit(
+                "sample_window", index=sample.index,
+                start=sample.start, instructions=insts,
+                cycles=cycles, ipc=round(sample.ipc, 6))
+        with profiler.phase("ff"):
+            reason = iss.run(max_steps=bound)
+        halted = reason in (HaltReason.EBREAK, HaltReason.ECALL)
+        record.instructions = iss.stats.instructions
+        record.status = "ok" if halted else "timed_out"
+        with profiler.phase("verify"):
+            record.verified = halted and bool(inst.verify(iss.memory))
+        if not windows:
+            record.status = "error"
+            record.error = (
+                "sampling produced no windows: the run retired "
+                f"{record.instructions} instructions but the "
+                f"schedule (period={params.period}, "
+                f"window={params.window}, warmup={params.warmup}, "
+                f"phase={params.phase}) fit none of them")
+            return
+        mean, ci, std = estimate([w.ipc for w in windows],
+                                 params.ci_floor_rel)
+        detail = sum(w.instructions for w in windows)
+        detail_cycles = sum(w.cycles for w in windows)
+        warm_insts = sum(w.warmup_instructions for w in windows)
+        coverage = detail / record.instructions \
+            if record.instructions else 0.0
+        energy_detail = sum(w.energy_j for w in windows)
+        record.cycles = int(round(record.instructions / mean)) \
+            if mean > 0 else 0
+        record.energy_j = (energy_detail / detail) \
+            * record.instructions if detail else 0.0
+        record.extra = {
+            "sampling": asdict(params),
+            "windows": [asdict(w) for w in windows],
+            "truncated_windows": truncated,
+            "params": inst.params,
+        }
+        registry = StatsRegistry()
+        group = registry.group("sampling")
+        group.set("windows", len(windows),
+                  "measured timing windows")
+        group.set("truncated_windows", truncated,
+                  "windows dropped at the run tail")
+        group.set("ipc_mean", mean, "sampled IPC point estimate")
+        group.set("ipc_ci95", ci, "95% CI half-width on ipc_mean")
+        group.set("ipc_ci95_rel", ci / mean if mean else 0.0,
+                  "relative 95% CI half-width")
+        group.set("ipc_std", std,
+                  "per-window IPC standard deviation")
+        group.set("coverage", coverage,
+                  "fraction of instructions measured in detail")
+        group.set("detail_instructions", detail,
+                  "instructions measured in windows")
+        group.set("detail_cycles", detail_cycles,
+                  "engine cycles spent in measured windows")
+        group.set("warmup_instructions", warm_insts,
+                  "instructions spent warming engines (gated off)")
+        group.set("energy_j", record.energy_j,
+                  "extrapolated total energy")
+        group.set("period", params.period, "sampling period")
+        group.set("window", params.window, "window length")
+        group.set("warmup", params.warmup, "warmup length")
+        group.set("phase", params.phase, "schedule phase offset")
+        hist = group.histogram("window_ipc",
+                               "per-window IPC distribution")
+        for w in windows:
+            hist.sample(w.ipc)
+        collect_iss(iss, registry=registry)
+        profiler.export(registry)
+        export_iss_throughput(registry, iss.stats.instructions,
+                              profiler.seconds("ff"))
+        record.stats = registry.as_dict()

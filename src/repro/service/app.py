@@ -232,7 +232,8 @@ class Service:
             or (doc.get("tenant") if isinstance(doc, dict) else None) \
             or "anon"
         try:
-            job, outcome = self.scheduler.submit(spec_doc, str(tenant))
+            job, outcome = await self.scheduler.admit(spec_doc,
+                                                          str(tenant))
         except RejectedRequest as exc:
             retry = exc.retry_after
             extra = []

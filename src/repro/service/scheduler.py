@@ -3,10 +3,14 @@
 :class:`JobScheduler` is the seam between the asyncio front door
 (:mod:`repro.service.app`) and the synchronous harness:
 
-* **Canonicalization** — request bodies become :class:`RunSpec` via
-  ``RunSpec.from_dict`` and are named by :func:`repro.harness.journal.
-  spec_key`, the same content hash the write-ahead journal uses, so a
-  spec posted twice (by one client or two) has one identity.
+* **Canonicalization** — request bodies become canonical
+  :class:`RunSpec` objects via ``RunSpec.from_dict`` (a spec the
+  machine cannot interpret is a ``ValueError``, HTTP 400, before any
+  token is spent), named by :func:`repro.harness.journal.spec_key` —
+  the one run key of the journal and both cache tiers — so a spec
+  posted twice, in any spelling, has one identity. Keying builds the
+  workload, so :meth:`JobScheduler.admit` keys off the event loop
+  under the worker watchdog (past it: ``ValueError``, HTTP 400).
 * **Dedup before work** — a key already in flight attaches the new
   request to the existing job (shared asyncio future: duplicate
   concurrent posts cost zero extra executions); a key already in the
@@ -47,12 +51,12 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.harness.journal import spec_key
 from repro.harness.parallel import (
-    RunSpec,
     abandon_pool,
     build_pool,
     default_worker_timeout,
     execute_spec,
 )
+from repro.harness.runner import RunSpec
 from repro.obs import telemetry
 from repro.obs.resilience import (
     QUARANTINED,
@@ -117,6 +121,10 @@ class JobScheduler:
         self.rejected_depth = 0
         self.completed = 0
         self.failed = 0
+        # keying threads: bounded, so concurrent slow builds cannot
+        # crowd the event loop's own thread off the interpreter
+        self._keyer = ThreadPoolExecutor(max_workers=self.workers,
+                                         thread_name_prefix="repro-key")
         self._queue = FairQueue(depth=queue_depth)
         self._buckets = {}       # tenant -> TokenBucket
         self._inflight = {}      # key -> Job
@@ -160,6 +168,7 @@ class JobScheduler:
                 job.future.set_exception(
                     RuntimeError("service shutting down"))
         self._inflight.clear()
+        self._keyer.shutdown(wait=False, cancel_futures=True)
         if self._pool is not None:
             try:
                 self._pool.shutdown(wait=False, cancel_futures=True)
@@ -177,6 +186,28 @@ class JobScheduler:
             self._buckets[tenant] = bucket
         return bucket
 
+    @staticmethod
+    def canonical(doc):
+        """``(spec, spec_key(spec))``; builds the workload (memoized)."""
+        spec = RunSpec.from_dict(doc)
+        return spec, spec_key(spec)
+
+    async def admit(self, doc, tenant="anon"):
+        """:meth:`submit` for coroutines: the spec is canonicalized and
+        keyed on the keying executor, bounded by the worker watchdog,
+        so a slow workload build never blocks the event loop. A build
+        that outlasts the watchdog raises ``ValueError``."""
+        self.requests += 1
+        keying = self._loop.run_in_executor(self._keyer, self.canonical,
+                                            doc)
+        try:
+            spec, key = await asyncio.wait_for(keying, self.timeout)
+        except asyncio.TimeoutError:
+            raise ValueError(
+                f"building the workload to key this spec exceeded the "
+                f"{self.timeout:g}s service watchdog") from None
+        return self._admit(spec, key, tenant)
+
     def submit(self, doc, tenant="anon"):
         """Admit one JSON-shaped spec from ``tenant``.
 
@@ -185,10 +216,12 @@ class JobScheduler:
         job) or ``"cached"`` (already-resolved future). Raises
         ``ValueError`` for a malformed spec and
         :class:`RejectedRequest` when admission control says no.
-        Must be called on the event-loop thread."""
+        Must be called on the event-loop thread, and keys the spec
+        inline (a workload build) — coroutines use :meth:`admit`."""
         self.requests += 1
-        spec = RunSpec.from_dict(doc)
-        key = spec_key(spec)
+        return self._admit(*self.canonical(doc), tenant)
+
+    def _admit(self, spec, key, tenant):
         shared = self._inflight.get(key)
         if shared is not None:
             self.dedup_shared += 1
@@ -227,15 +260,8 @@ class JobScheduler:
                 f"tenant {tenant!r} exceeded {self.rate:g} runs/s",
                 retry_after=bucket.retry_after())
         job = Job(spec, key, tenant, self._loop.create_future())
-        if not self._queue.push(tenant, job):
-            # unreachable (no await between full() and push()), but if
-            # it ever trips, refund the token: no work was admitted
-            if bucket is not None:
-                bucket.refund()
-            self.rejected_depth += 1
-            raise RejectedRequest(
-                f"tenant {tenant!r} queue is full "
-                f"({self._queue.depth} pending)", retry_after=1.0)
+        pushed = self._queue.push(tenant, job)
+        assert pushed, "no await since full(), so the job fits"
         self._inflight[key] = job
         telemetry.emit("scheduled", run=job.run_id,
                        label=spec.workload)
@@ -297,14 +323,11 @@ class JobScheduler:
         probe the peer here, on an executor thread. Only an "ok"
         record is trusted; anything else falls through to a fresh
         execution."""
-        if self.cache is None or not getattr(self.cache, "remote", None):
-            return None
-        probe = getattr(self.cache, "remote_probe", None)
-        if probe is None:
+        if self.cache is None or not self.cache.remote:
             return None
         try:
-            record = await self._loop.run_in_executor(None, probe,
-                                                      job.key)
+            record = await self._loop.run_in_executor(
+                None, self.cache.remote_probe, job.key)
         except Exception:
             return None
         if record is None or self._status(record) != "ok":

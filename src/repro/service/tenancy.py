@@ -36,11 +36,6 @@ class TokenBucket:
             return True
         return False
 
-    def refund(self, n=1):
-        """Return ``n`` tokens (capped at ``burst``) — for an admission
-        path that charged the bucket but then admitted no work."""
-        self.tokens = min(self.burst, self.tokens + n)
-
     def retry_after(self, n=1):
         """Seconds until ``n`` tokens will be available (the 429
         ``Retry-After`` hint)."""

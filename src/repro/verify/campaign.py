@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.asm.assembler import assemble
 from repro.core.watchdog import SimulationHang
+from repro.machines import NAMES as MACHINE_NAMES
 from repro.verify.lockstep import Divergence, run_lockstep
 from repro.verify.torture import generate
 
@@ -32,7 +33,7 @@ class TortureSpec:
 
     seed: int                 # campaign base seed
     index: int                # program index within the campaign
-    machine: str              # "diag" | "ooo"
+    machine: str              # a repro.machines name
     ff: bool = True
     simt: bool = False
     ops: int = 40
@@ -205,7 +206,7 @@ class TortureReport:
         return ", ".join(parts)
 
 
-def build_specs(seed, count, machines=("diag", "ooo"),
+def build_specs(seed, count, machines=MACHINE_NAMES,
                 ff_modes=(True, False), simt_modes=(False, True),
                 ops=40, max_cycles=400_000):
     """The campaign matrix, in deterministic order."""
@@ -222,7 +223,7 @@ def build_specs(seed, count, machines=("diag", "ooo"),
     return specs
 
 
-def run_torture(seed, count, machines=("diag", "ooo"),
+def run_torture(seed, count, machines=MACHINE_NAMES,
                 ff_modes=(True, False), simt_modes=(False, True),
                 ops=40, jobs=None, max_cycles=400_000,
                 journal=None, resume=False, progress=None,

@@ -39,9 +39,7 @@ with skipping on or off.
 import dataclasses
 from collections import deque
 
-from repro.baseline.ooo import OoOConfig, OoOCore
-from repro.core.config import CONFIG_PRESETS
-from repro.core.processor import DiAGProcessor
+from repro import machines
 from repro.iss.simulator import ISS, SimError
 
 MASK32 = 0xFFFFFFFF
@@ -52,14 +50,12 @@ HISTORY_DEPTH = 16
 #: ISS instruction budget for one pipelined-SIMT catch-up
 CATCH_UP_LIMIT = 2_000_000
 
-MACHINES = ("diag", "ooo")
-
 
 class Divergence(Exception):
     """The engine and the ISS disagree on architectural state.
 
     Attributes:
-        machine:   "diag" or "ooo"
+        machine:   the engine's :mod:`repro.machines` name
         kind:      "pc" | "reg" | "mem" | "count" | "halt" | "iss-error"
         index:     ordinal of the diverging commit (0-based)
         addr:      address of the first bad instruction (or None)
@@ -266,17 +262,6 @@ class _Oracle:
             iss_x=self.iss.x, iss_f=self.iss.f, history=self.history)
 
 
-def _diag_config(config, fast_forward):
-    cfg = CONFIG_PRESETS[config] if isinstance(config, str) else config
-    return cfg.with_overrides(fast_forward=fast_forward)
-
-
-def _ooo_config(config, fast_forward):
-    if config is None:
-        config = OoOConfig()
-    return dataclasses.replace(config, fast_forward=fast_forward)
-
-
 class LockstepSession:
     """A lockstep run as one picklable, *checkpointable* object graph.
 
@@ -293,21 +278,14 @@ class LockstepSession:
     def __init__(self, program, machine="diag", config="F4C2",
                  fast_forward=True, setup=None, fault_spec=None,
                  history_depth=HISTORY_DEPTH):
-        if machine not in MACHINES:
-            raise ValueError(f"unknown machine {machine!r}")
+        entry = machines.get(machine)
         self.machine = machine
-        if machine == "diag":
-            cfg = _diag_config(config, fast_forward)
-            self.sim = DiAGProcessor(cfg, program, num_threads=1)
-            self.engine = self.sim.rings[0]
-            memory = self.sim.memory
-        else:
-            cfg = _ooo_config(
-                config if not isinstance(config, str) else None,
-                fast_forward)
-            self.sim = OoOCore(cfg, program)
-            self.engine = self.sim
-            memory = self.sim.hierarchy.memory
+        cfg = entry.engine_config(config, fast_forward=fast_forward)
+        sim = entry.build(cfg, program)
+        self.sim = sim.runner
+        self.engine = sim.units[0]
+        memory = sim.memory
+        hierarchy = sim.hierarchies[0]
 
         self.iss = ISS(program)
         if setup is not None:
@@ -315,8 +293,7 @@ class LockstepSession:
             setup(self.iss.memory)
         if fault_spec is not None:
             from repro.faults.injector import FaultInjector
-            FaultInjector(fault_spec).attach(self.engine,
-                                             self.sim.hierarchy)
+            FaultInjector(fault_spec).attach(self.engine, hierarchy)
 
         self.engine_rec = _StoreRecorder(memory)
         self.iss_rec = _StoreRecorder(self.iss.memory)
@@ -376,9 +353,11 @@ def run_lockstep(program, machine="diag", config="F4C2", max_cycles=None,
                  history_depth=HISTORY_DEPTH):
     """Run ``program`` on ``machine`` with the ISS oracle attached.
 
-    ``config``: a DiAG preset name / DiAGConfig for "diag", an
-    OoOConfig (or None for defaults) for "ooo".  ``setup(memory)`` is
-    applied to *both* memories before execution (workload inputs).
+    ``config``: a config object or preset name of ``machine`` (a
+    preset of another machine, or None, means this machine's default;
+    see :meth:`repro.machines.Machine.engine_config`).
+    ``setup(memory)`` is applied to *both* memories before execution
+    (workload inputs).
     ``fault_spec`` optionally attaches a :class:`repro.faults.injector.
     FaultInjector` to the engine only — used by tests to manufacture a
     guaranteed divergence.

@@ -13,6 +13,7 @@ import hashlib
 import os
 
 from repro.asm.assembler import assemble
+from repro.machines import NAMES as MACHINE_NAMES
 from repro.verify.lockstep import Divergence, run_lockstep
 
 #: corpus location, relative to the repository root
@@ -123,7 +124,7 @@ def corpus_files(directory=CORPUS_DIR):
                   if name.endswith(".s"))
 
 
-def replay_corpus(directory=CORPUS_DIR, machines=("diag", "ooo"),
+def replay_corpus(directory=CORPUS_DIR, machines=MACHINE_NAMES,
                   ff_modes=(True, False), max_cycles=300_000):
     """Replay every corpus file on every machine × FF mode.
 

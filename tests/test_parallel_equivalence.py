@@ -61,10 +61,14 @@ class TestRunSpec:
             assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_dict_overrides_normalized(self):
-        a = RunSpec.diag("nn", config_overrides={"b": 2, "a": 1})
-        b = RunSpec.diag("nn", config_overrides=(("a", 1), ("b", 2)))
+        # real knobs: unknown ones are rejected at construction
+        a = RunSpec.diag("nn", config_overrides={"lsu_queue_depth": 4,
+                                                 "enable_reuse": False})
+        b = RunSpec.diag("nn", config_overrides=(
+            ("enable_reuse", False), ("lsu_queue_depth", 4)))
         assert a == b
-        assert a.config_overrides == (("a", 1), ("b", 2))
+        assert a.config_overrides == (("enable_reuse", False),
+                                      ("lsu_queue_depth", 4))
 
     def test_unknown_machine_rejected(self):
         with pytest.raises(ValueError):

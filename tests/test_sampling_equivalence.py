@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 from repro.harness.runner import clear_cache, run_baseline, run_diag
 from repro.iss.simulator import ISS, HaltReason
+from repro.machines import NAMES as MACHINES
 from repro.obs.registry import deterministic_view
 from repro.sampling import (
-    MACHINES,
     SampledSpec,
     SamplingParams,
     WarmTrace,

@@ -40,6 +40,17 @@ from repro.service import (
     serve_in_thread,
 )
 
+from repro.asm import assemble
+from repro.workloads.base import Workload, WorkloadInstance
+from repro.workloads.registry import RODINIA_WORKLOADS
+
+from tests.test_diskcache import (  # noqa: F401 (fixture)
+    SRC_V1,
+    SRC_V2,
+    _register,
+    editable_workload,
+)
+
 SPEC = {"machine": "diag", "workload": "nn", "config": "F4C2",
         "scale": 0.2}
 
@@ -214,6 +225,14 @@ class TestSchedulerAdmission:
                 sched.submit(["not", "a", "spec"])
             with pytest.raises(ValueError):
                 sched.submit(dict(SPEC, machine="quantum"))
+            # specs the machine cannot interpret fail at admission, not
+            # in a worker: an unknown preset, an unknown knob
+            with pytest.raises(ValueError):
+                sched.submit(dict(SPEC, config="F4C3"))
+            with pytest.raises(ValueError):
+                sched.submit(dict(SPEC,
+                                  config_overrides={"num_clustres": 4}))
+            assert sched.requests == 5 and not sched._inflight
 
         asyncio.run(main())
 
@@ -238,6 +257,13 @@ class TestServiceBasics:
                             "bogus": 1})
             assert err.value.status == 400
             assert "bogus" in err.value.reason
+            # an unknown preset is a 400 too, before any execution
+            with pytest.raises(ServiceError) as err:
+                client.run({"machine": "diag", "workload": "nn",
+                            "config": "F4C3"})
+            assert err.value.status == 400
+            assert "F4C3" in err.value.reason
+            assert handle.service.scheduler.executions == 0
         finally:
             handle.close()
 
@@ -289,15 +315,17 @@ class TestEquivalence:
 
 
 class TestDedupAndCache:
-    def test_concurrent_duplicates_execute_once(self, tmp_path):
-        cache = diskcache.DiskCache(tmp_path / "svc-cache")
-        handle, client = start_service(tmp_path, cache=cache)
-        spec = {"machine": "diag", "workload": "hotspot",
-                "config": "F4C2", "scale": 0.2}
+    def _storm(self, directory, specs):
+        """Six simultaneous posts cycling through ``specs``; returns
+        the outcomes, the service handle, its cache and the number of
+        executions the telemetry stream saw start."""
+        cache = diskcache.DiskCache(directory / "svc-cache")
+        handle, client = start_service(directory, cache=cache)
         outs = [None] * 6
         try:
             def post(i):
-                outs[i] = client.run(spec, tenant=f"t{i % 3}")
+                outs[i] = client.run(specs[i % len(specs)],
+                                     tenant=f"t{i % 3}")
 
             threads = [threading.Thread(target=post, args=(i,))
                        for i in range(len(outs))]
@@ -307,19 +335,43 @@ class TestDedupAndCache:
                 t.join()
         finally:
             handle.close()
-        outcomes = sorted(o.outcome for o in outs)
-        assert outcomes.count("scheduled") == 1
-        assert all(o in ("scheduled", "deduped", "cached")
-                   for o in outcomes)
-        # executed exactly once — by every measure we have
-        assert cache.writes == 1
-        assert handle.service.scheduler.executions == 1
         events = telemetry.read_events(handle.service.bus.path)
-        assert sum(1 for e in events if e["ev"] == "started") == 1
-        # and everyone got the same bytes back
-        views = {json.dumps(deterministic_view(o.record["stats"]),
-                            sort_keys=True) for o in outs}
-        assert len(views) == 1
+        keys = {o.key[:12] for o in outs}
+        started = sum(1 for e in events
+                      if e["ev"] == "started" and e.get("run") in keys)
+        return outs, handle, cache, started
+
+    def test_concurrent_duplicates_execute_once(self, tmp_path):
+        # one spec posted six times, then one run spelled two ways —
+        # a bare body and the fully spelled-out ``RunSpec.diag`` (its
+        # default preset filled in) — which must share one key
+        storms = {
+            "identical": ({"machine": "diag", "workload": "hotspot",
+                           "config": "F4C2", "scale": 0.2},),
+            "bare-vs-spelled": (
+                {"machine": "diag", "workload": "pathfinder",
+                 "scale": 0.1},
+                {"machine": "diag", "workload": "pathfinder",
+                 "config": "F4C32", "scale": 0.1, "threads": 1,
+                 "simt": False, "max_cycles": None,
+                 "config_overrides": []}),
+        }
+        for name, specs in storms.items():
+            outs, handle, cache, started = self._storm(
+                tmp_path / name, specs)
+            outcomes = sorted(o.outcome for o in outs)
+            assert outcomes.count("scheduled") == 1, name
+            assert all(o in ("scheduled", "deduped", "cached")
+                       for o in outcomes)
+            assert len({o.key for o in outs}) == 1, name
+            # executed exactly once — by every measure we have
+            assert cache.writes == 1, name
+            assert handle.service.scheduler.executions == 1, name
+            assert started == 1, name
+            # and everyone got the same bytes back
+            views = {json.dumps(deterministic_view(o.record["stats"]),
+                                sort_keys=True) for o in outs}
+            assert len(views) == 1, name
 
     def test_repeat_is_cached_and_metered(self, tmp_path):
         cache = diskcache.DiskCache(tmp_path / "svc-cache")
@@ -355,6 +407,120 @@ class TestDedupAndCache:
                 client.cache_entry("not-a-key")
             assert err.value.status == 400
         finally:
+            handle.close()
+
+
+class TestOneRunKey:
+    """The service names a run by the same key as both cache tiers and
+    the journal — ``spec_key``, which covers the program bytes."""
+
+    def test_edited_workload_is_re_executed(self, tmp_path,
+                                            editable_workload):
+        """Re-posting a workload edited in place must execute the new
+        program, not serve the old record under the old spec key."""
+        handle, client = start_service(tmp_path)
+        spec = {"machine": "diag", "workload": "_editable",
+                "config": "F4C2"}
+        try:
+            _register(SRC_V1)
+            v1 = client.run(spec)
+            _register(SRC_V2)
+            v2 = client.run(spec)
+        finally:
+            handle.close()
+        assert v1.status == v2.status == "ok"
+        assert v1.record["instructions"] == 4
+        assert v2.outcome == "scheduled"
+        assert v2.record["instructions"] == 6
+        assert v2.key != v1.key
+
+    def test_one_execution_writes_one_entry(self, tmp_path):
+        """Against the process-wide cache, the worker's write-through
+        and the scheduler's write land on one entry, not two."""
+        cache = diskcache.configure(tmp_path / "process-cache")
+        handle, client = start_service(tmp_path, cache=None)
+        try:
+            out = client.run(SPEC)
+            again = client.run(SPEC)
+        finally:
+            handle.close()
+        assert handle.service.cache is cache
+        assert out.status == "ok" and again.outcome == "cached"
+        assert cache.stats()["entries"] == 1
+        assert cache.raw_entry(out.key) is not None
+        assert handle.service.scheduler.executions == 1
+
+
+@pytest.fixture
+def slow_build():
+    """A workload whose build blocks until the yielded event is set
+    (keying a spec builds its workload: the key covers the program)."""
+    gate = threading.Event()
+
+    class _SlowBuild(Workload):
+        NAME = "_slow_build"
+        SUITE = "rodinia"
+        MT_CAPABLE = False
+
+        def build(self, scale=1.0, threads=1, simt=False, seed=1234):
+            gate.wait(10)
+            return WorkloadInstance(name=self.NAME,
+                                    program=assemble(SRC_V1),
+                                    setup=lambda memory: None,
+                                    verify=lambda memory: True)
+
+    RODINIA_WORKLOADS[_SlowBuild.NAME] = _SlowBuild
+    yield gate
+    gate.set()
+    RODINIA_WORKLOADS.pop(_SlowBuild.NAME, None)
+    clear_cache()
+
+
+class TestKeyingOffLoop:
+    """Keying a post builds its workload; that happens on the keying
+    executor, so a slow build never stalls the event loop."""
+
+    SPEC = {"machine": "diag", "workload": "_slow_build",
+            "config": "F4C2"}
+
+    def test_health_answers_while_a_post_is_keyed(self, tmp_path,
+                                                  slow_build):
+        handle, client = start_service(tmp_path)
+        outcomes = []
+        poster = threading.Thread(
+            target=lambda: outcomes.append(client.run(self.SPEC)))
+        try:
+            poster.start()
+            deadline = time.time() + 5
+            while handle.service.scheduler.requests < 1:
+                assert time.time() < deadline
+                time.sleep(0.01)
+            start = time.time()
+            health = client.health()
+            elapsed = time.time() - start
+            assert poster.is_alive()   # the post is still being keyed
+            assert health["status"] == "ok"
+            assert elapsed < 2.0
+            slow_build.set()
+            poster.join(30)
+        finally:
+            slow_build.set()
+            handle.close()
+        assert outcomes and outcomes[0].status == "ok"
+        assert outcomes[0].record["instructions"] == 4
+
+    def test_build_past_the_watchdog_is_a_400(self, tmp_path,
+                                              slow_build):
+        handle, client = start_service(tmp_path, timeout=0.3)
+        try:
+            with pytest.raises(ServiceError) as err:
+                client.run(self.SPEC)
+            assert err.value.status == 400
+            assert "watchdog" in err.value.reason
+            assert client.health()["status"] == "ok"
+            assert handle.service.scheduler.executions == 0
+        finally:
+            slow_build.set()
             handle.close()
 
 

@@ -36,10 +36,10 @@ from repro.harness.runner import (  # noqa: E402
     run_baseline,
     run_diag,
 )
+from repro.machines import NAMES as MACHINES  # noqa: E402
 from repro.sampling import SamplingParams, run_sampled  # noqa: E402
 
 WORKLOADS = ("bfs", "streamcluster")
-MACHINES = ("diag", "ooo")
 DIAG_CONFIG = "F4C2"
 
 #: ~8% detail coverage: windows every 25k instructions, each 1k
