@@ -892,8 +892,10 @@ def build_parser():
                          metavar="S",
                          help="per-run watchdog (default "
                               "REPRO_WORKER_TIMEOUT / 900s)")
-    serve_p.add_argument("--retries", type=int, default=1, metavar="N",
-                         help="pool resubmissions per run (default 1)")
+    serve_p.add_argument("--retries", type=int, default=None,
+                         metavar="N",
+                         help="pool resubmissions per run (default "
+                              "REPRO_RETRIES / 2)")
     serve_p.add_argument("--telemetry", default=None, metavar="PATH",
                          help="telemetry JSONL stream path "
                               "(auto-named under .repro_telemetry/ "

@@ -9,18 +9,17 @@ with no wall-clock input, so a record computed in a worker is
 bit-identical (modulo the ``host.*`` wall-clock gauges) to one computed
 serially, and ``tests/test_parallel_equivalence.py`` enforces it.
 
-Degradation is graceful and total (docs/RESILIENCE.md): any pool-level
-failure — fork/spawn refused by the OS, a spec or record that fails to
-pickle, a worker blowing past the wall-clock watchdog, the pool dying
-mid-flight — is retried with exponential backoff + jitter, survives a
-``BrokenProcessPool`` by rebuilding the pool and requeueing whatever
-was in flight, and finally falls back to executing the affected specs
-serially in-process, so a parallel sweep can never produce fewer
-results than a serial one. A spec whose serial fallback *also* raises
-is quarantined (synthesized ``status="quarantined"`` record,
-``failure_class="infra"``) instead of aborting the sweep; a spec that
-times out again under the bounded serial retry becomes
-``status="timeout"`` with its elapsed time instead of hanging forever.
+Degradation is graceful and total (docs/RESILIENCE.md §3). One ladder,
+:class:`PoolLadder`, owns the pool for both the sweep harness and the
+run service (:mod:`repro.service.scheduler` awaits the same core): a
+worker exception is retried with exponential backoff + jitter; a dead
+worker (``BrokenProcessPool``) rebuilds the pool once and requeues what
+was in flight; a worker past the wall-clock watchdog is abandoned at
+once and its spec retried once under its own deadline, then recorded
+as ``status="timeout"``; a spec that exhausts its retries — or finds no
+pool at all — executes in-process, and one that raises *there too* is
+quarantined (``status="quarantined"``, ``failure_class="infra"``). A
+parallel sweep can never produce fewer results than a serial one.
 
 Crash safety: pass ``journal=`` (a path, or ``True`` for an auto-named
 file under ``.repro_journal/``) and every completed record is fsync'd
@@ -37,19 +36,18 @@ cache later serial runs hit.
 Knobs: ``jobs`` arg > ``REPRO_JOBS`` env > 1 (serial); per-spec
 watchdog ``REPRO_WORKER_TIMEOUT`` (900 s); pool retries per spec
 ``REPRO_RETRIES`` (2); backoff base ``REPRO_RETRY_BACKOFF`` (0.05 s);
-serial-retry deadline ``REPRO_SERIAL_RETRY_TIMEOUT`` (max(watchdog,
+hang-retry deadline ``REPRO_SERIAL_RETRY_TIMEOUT`` (max(watchdog,
 60 s)).
 """
 
+import asyncio
 import os
-import pickle
 import random
 import signal
 import threading
 import time
 import warnings
-from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 
@@ -71,8 +69,11 @@ WORKER_TIMEOUT = 900.0
 #: default pool resubmissions per spec after a transient failure
 RETRY_LIMIT = 2
 
-#: floor on the bounded serial-retry deadline (seconds)
+#: floor on the bounded hang-retry deadline (seconds)
 SERIAL_RETRY_FLOOR = 60.0
+
+#: seconds between progress-renderer polls while a pooled batch runs
+POLL_INTERVAL = 0.2
 
 
 def execute_spec(spec, run_id=None, span=None):
@@ -135,9 +136,9 @@ def _retry_limit(retries):
 
 
 def _serial_retry_deadline(deadline):
-    """The bounded serial retry gets its *own* deadline, never shorter
+    """The bounded hang retry gets its *own* deadline, never shorter
     than the pool watchdog and floored at 60 s (a 1 ms test watchdog
-    must not condemn the serial path); ``REPRO_SERIAL_RETRY_TIMEOUT``
+    must not condemn the retry); ``REPRO_SERIAL_RETRY_TIMEOUT``
     overrides."""
     try:
         return float(os.environ.get(
@@ -147,17 +148,18 @@ def _serial_retry_deadline(deadline):
         return max(deadline, SERIAL_RETRY_FLOOR)
 
 
-def _backoff_sleep(attempt):
-    """Exponential backoff with jitter before resubmitting a spec
-    (attempt 1 -> ~base, doubling, capped at 5 s)."""
+def _backoff(failures):
+    """Seconds to wait before resubmitting a spec that failed
+    ``failures`` times: exponential (failure 1 -> ~base, doubling,
+    capped at 5 s) with jitter."""
     try:
         base = float(os.environ.get("REPRO_RETRY_BACKOFF", "0.05"))
     except ValueError:
         base = 0.05
     if base <= 0:
-        return
-    delay = min(base * (2 ** max(0, attempt - 1)), 5.0)
-    time.sleep(delay * (0.5 + random.random() / 2))
+        return 0.0
+    delay = min(base * (2 ** max(0, failures - 1)), 5.0)
+    return delay * (0.5 + random.random() / 2)
 
 
 def _pool(max_workers):
@@ -176,24 +178,20 @@ def _pool(max_workers):
     return ProcessPoolExecutor(max_workers=max_workers)
 
 
-def build_pool(max_workers):
-    """Public pool factory for layers that keep a *persistent* pool
-    across many requests (the :mod:`repro.service` scheduler) — same
-    fork-preferring policy as :func:`run_specs`' internal pool."""
-    return _pool(max_workers)
-
-
-def abandon_pool(pool):
-    """Public alias of the hung-pool teardown (terminate without
-    joining) for external pool owners; see :func:`_abandon`."""
-    _abandon(pool)
-
-
-def default_worker_timeout():
-    """The effective per-spec watchdog (``REPRO_WORKER_TIMEOUT`` or
-    900 s) — exported so the service scheduler shares one knob with
-    the sweep harness."""
-    return _worker_timeout(None)
+def _abandon(pool):
+    """Tear down a pool without joining its workers: terminate them
+    (a ``shutdown(wait=True)`` — or interpreter exit — would block on
+    a hung or still-simulating process otherwise)."""
+    procs = list((getattr(pool, "_processes", None) or {}).values())
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except Exception:
+        pass
+    for proc in procs:
+        try:
+            proc.terminate()
+        except Exception:
+            pass
 
 
 def _failure_record(spec, status, error, failure_class):
@@ -219,8 +217,22 @@ def _quarantine(spec, attempts, exc, run_id=None):
     return _failure_record(spec, "quarantined", error, "infra")
 
 
-def _rid(run_ids, index):
-    return None if run_ids is None else run_ids[index]
+def _timed_out(spec, run_id, attempts, limit, start):
+    """A spec that hung again under the bounded retry: a
+    ``status="timeout"`` record carrying its elapsed time."""
+    elapsed = time.monotonic() - start
+    resilience().inc(TIMEOUTS)
+    telemetry.emit("timeout", run=run_id, span=attempts,
+                   elapsed=round(elapsed, 3), limit=limit)
+    warnings.warn(f"{spec.workload} exceeded the {limit:g}s "
+                  f"serial-retry deadline too; recording status=timeout")
+    record = _failure_record(
+        spec, "timeout",
+        f"serial retry exceeded {limit:g}s (elapsed {elapsed:.1f}s)",
+        "hang")
+    if hasattr(record, "wall_seconds"):
+        record.wall_seconds = elapsed
+    return record
 
 
 def _submit(pool, spec, run_id, span):
@@ -231,35 +243,180 @@ def _submit(pool, spec, run_id, span):
     return pool.submit(execute_spec, spec, run_id, span)
 
 
+def record_status(record):
+    """The status of a landed record — a dataclass ``.status`` or a
+    dict ``["status"]`` — as a string; ``"ok"`` when it carries
+    none."""
+    status = getattr(record, "status", None)
+    if status is None and isinstance(record, dict):
+        status = record.get("status")
+    return str(status) if status is not None else "ok"
+
+
+class PoolLadder:
+    """The one retry/degradation ladder over a process pool
+    (docs/RESILIENCE.md §3), awaited per spec by :func:`run_specs` and
+    by the run service's :class:`repro.service.scheduler.JobScheduler`.
+
+    ``await ladder.run(spec, run_id)`` returns ``(record, attempts)``
+    and never raises. At most ``workers`` attempts are in flight at
+    once, so the per-attempt watchdog times execution, never time
+    spent queued behind other specs. The pool comes from :func:`_pool`
+    (a thread pool when ``inline``), built on first use and after
+    every replacement; ``generation`` counts the replacements.
+    :meth:`close` abandons it — workers terminated, never joined.
+    """
+
+    def __init__(self, workers, timeout=None, retries=None,
+                 inline=False):
+        self.workers = max(1, int(workers))
+        self.timeout = _worker_timeout(timeout)
+        self.retries = _retry_limit(retries)
+        self.inline = inline
+        self.pool = None
+        self.generation = 0
+        self._running = 0      # attempts awaiting the pool right now
+        self._slots = None     # bound to the running loop on first use
+        self._closed = False
+        self._fallback = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-fallback")
+
+    def _live_pool(self):
+        """The current pool, built on demand; ``None`` when no pool can
+        be built (the caller then runs the spec in-process)."""
+        if self.pool is None and not self._closed:
+            try:
+                self.pool = ThreadPoolExecutor(
+                    max_workers=self.workers,
+                    thread_name_prefix="repro-job") \
+                    if self.inline else _pool(self.workers)
+            except Exception as exc:
+                warnings.warn(f"process pool unavailable ({exc}); "
+                              "running serially")
+        return self.pool
+
+    def _replace(self, pool, error, abandon=False):
+        """Retire ``pool`` if it is still the live one — the attempts a
+        single failure breaks all land here, and only the first
+        retires it (the next submission builds the new pool). Returns
+        the number of in-flight attempts requeued, 0 if ``pool`` was
+        already retired."""
+        if pool is not self.pool:
+            return 0
+        self.pool = None
+        self.generation += 1
+        if abandon:
+            _abandon(pool)
+        else:
+            try:
+                pool.shutdown(wait=False, cancel_futures=True)
+            except Exception:
+                pass
+        requeued = self._running + 1
+        resilience().inc(REQUEUED, requeued)
+        telemetry.emit("requeue", count=requeued, error=error)
+        return requeued
+
+    async def _attempt(self, pool, spec, run_id, attempt, deadline):
+        self._running += 1
+        try:
+            return await asyncio.wait_for(
+                asyncio.wrap_future(_submit(pool, spec, run_id, attempt)),
+                deadline)
+        finally:
+            self._running -= 1
+
+    async def run(self, spec, run_id=None):
+        """Drive one spec down the ladder: ``(record, attempts)``."""
+        if self._slots is None:
+            self._slots = asyncio.Semaphore(self.workers)
+        attempts = failures = 0
+        deadline, hang_start = self.timeout, None
+        while True:
+            attempts += 1
+            async with self._slots:
+                pool = self._live_pool()
+                if pool is None:
+                    break
+                try:
+                    return (await self._attempt(pool, spec, run_id,
+                                                attempts, deadline),
+                            attempts)
+                except asyncio.TimeoutError:
+                    # hung: abandon the pool now (joining would block
+                    # on the stuck worker), then one bounded retry
+                    self._replace(pool, "watchdog timeout", abandon=True)
+                    if hang_start is not None:
+                        return (_timed_out(spec, run_id, attempts,
+                                           deadline, hang_start),
+                                attempts)
+                    hang_start = time.monotonic()
+                    deadline = _serial_retry_deadline(self.timeout)
+                    warnings.warn(
+                        f"worker exceeded the {self.timeout:g}s "
+                        f"watchdog on {spec.workload}; pool abandoned, "
+                        f"retrying once under {deadline:g}s")
+                    continue
+                except BrokenProcessPool as exc:
+                    # a worker died (SIGKILL, OOM): the first attempt
+                    # to see it is blamed and rebuilds the pool; every
+                    # in-flight attempt is resubmitted
+                    error = f"{type(exc).__name__}: {exc}"
+                    requeued = self._replace(pool, error)
+                    if requeued:
+                        failures += 1
+                        warnings.warn(
+                            f"worker process died ({exc}); pool rebuilt,"
+                            f" {requeued} spec(s) requeued")
+                    if failures <= self.retries:
+                        continue
+                except Exception as exc:
+                    # a worker raised / an unpicklable spec or record:
+                    # transient until proven otherwise
+                    failures += 1
+                    error = f"{type(exc).__name__}: {exc}"
+                    if failures <= self.retries:
+                        resilience().inc(RETRIES)
+                        telemetry.emit("retry", run=run_id,
+                                       span=attempts + 1, error=error)
+                        warnings.warn(
+                            f"pool failure on {spec.workload} ({error});"
+                            f" retrying with backoff (attempt "
+                            f"{failures + 1}/{self.retries + 1})")
+            if failures > self.retries:
+                warnings.warn(f"pool failure on {spec.workload} "
+                              f"({error}); re-running serially")
+                attempts += 1
+                break
+            await asyncio.sleep(_backoff(failures))
+        loop = asyncio.get_running_loop()
+        try:
+            record = await loop.run_in_executor(
+                self._fallback, execute_spec, spec, run_id, attempts)
+        except Exception as exc:
+            record = _quarantine(spec, attempts, exc, run_id)
+        return record, attempts
+
+    def close(self):
+        """Abandon the pool — terminate its workers without joining, so
+        closing never waits on a simulation still in flight — and stop
+        the fallback thread taking work."""
+        self._closed = True
+        if self.pool is not None:
+            _abandon(self.pool)
+            self.pool = None
+        self._fallback.shutdown(wait=False, cancel_futures=True)
+
+
 def _record_event(record, run_id, span):
     """The parent-side, authoritative completion event for a landed
     record: exactly one ``finished``/``failed`` per spec per
     invocation, however many attempts it took."""
     if run_id is None:
         return
-    status = getattr(record, "status", None)
-    if status is None and isinstance(record, dict):
-        status = record.get("status")
-    status = status if status is not None else "ok"
+    status = record_status(record)
     telemetry.emit("failed" if status != "ok" else "finished",
-                   run=run_id, span=span, status=str(status))
-
-
-def _await_result(future, deadline, progress):
-    """``future.result`` under the watchdog, polling the progress
-    renderer while waiting so worker-side telemetry surfaces live."""
-    if progress is None:
-        return future.result(timeout=deadline)
-    end = time.monotonic() + deadline
-    while True:
-        remaining = end - time.monotonic()
-        try:
-            return future.result(
-                timeout=max(min(remaining, 0.2), 0.01))
-        except FutureTimeout:
-            progress.poll()
-            if time.monotonic() >= end:
-                raise
+                   run=run_id, span=span, status=status)
 
 
 def _journal_put(jrnl, keys, index, record):
@@ -297,15 +454,34 @@ def _signal_guard(jrnl):
                 pass
 
 
+async def _drive(ladder, specs, pending, run_ids, land, progress):
+    """The pooled branch of :func:`run_specs`: every pending spec down
+    the ladder concurrently, each record landed as it arrives."""
+    async def one(index):
+        land(index, *await ladder.run(specs[index],
+                                      _rid(run_ids, index)))
+
+    runs = asyncio.gather(*(one(index) for index in pending))
+    while progress is not None and not runs.done():
+        await asyncio.wait([runs], timeout=POLL_INTERVAL)
+        progress.poll()
+    await runs
+
+
+def _rid(run_ids, index):
+    return None if run_ids is None else run_ids[index]
+
+
 def run_specs(specs, jobs=None, timeout=None, journal=None,
               resume=False, retries=None, progress=None):
     """Execute ``specs`` and return their records in input order.
 
-    ``jobs`` > 1 shards across a process pool; 1 (the default without
-    ``REPRO_JOBS``) runs in-process. Every pool-level failure degrades
-    — retry with backoff, pool rebuild, serial re-execution, and as a
-    last resort a synthesized quarantine/timeout record — with a
-    warning; the result list always has one entry per spec.
+    ``jobs`` > 1 shards across a process pool through the
+    :class:`PoolLadder`; 1 (the default without ``REPRO_JOBS``) runs
+    in-process. Every pool-level failure degrades — retry with
+    backoff, pool rebuild, in-process re-execution, and as a last
+    resort a synthesized quarantine/timeout record — with a warning;
+    the result list always has one entry per spec.
 
     ``journal``: a path (or ``True`` for an auto-named file) enabling
     the write-ahead journal; ``resume=True`` replays previously
@@ -356,20 +532,31 @@ def run_specs(specs, jobs=None, timeout=None, journal=None,
     if progress is not None:
         progress.bind(bus)
         progress.poll()
+
+    def land(index, record, span):
+        records[index] = record
+        _journal_put(jrnl, keys, index, record)
+        _record_event(record, _rid(run_ids, index), span)
+        if progress is not None:
+            progress.poll()
+
     try:
         with _signal_guard(jrnl):
             if jobs <= 1 or len(pending) <= 1:
                 for index in pending:
-                    records[index] = execute_spec(
-                        specs[index], _rid(run_ids, index), 1)
-                    _journal_put(jrnl, keys, index, records[index])
-                    _record_event(records[index],
-                                  _rid(run_ids, index), 1)
-                    if progress is not None:
-                        progress.poll()
+                    land(index, execute_spec(
+                        specs[index], _rid(run_ids, index), 1), 1)
             else:
-                _run_pooled(specs, pending, records, jobs, timeout,
-                            retries, jrnl, keys, run_ids, progress)
+                ladder = PoolLadder(min(jobs, len(pending)), timeout,
+                                    retries)
+                try:
+                    asyncio.run(_drive(ladder, specs, pending, run_ids,
+                                       land, progress))
+                finally:
+                    # interrupted mid-batch (e.g. SIGINT via the signal
+                    # guard): terminate workers rather than leaking
+                    # them, then let the journal drain below
+                    ladder.close()
     finally:
         if jrnl is not None:
             jrnl.close()
@@ -380,220 +567,6 @@ def run_specs(specs, jobs=None, timeout=None, journal=None,
         if progress is not None:
             progress.poll(force=True)
     return records
-
-
-def _run_pooled(specs, pending, records, jobs, timeout, retries,
-                jrnl, keys, run_ids=None, progress=None):
-    """The pool path of :func:`run_specs`: fill ``records[pending]``."""
-    try:
-        pool = _pool(min(jobs, len(pending)))
-        futures = {index: _submit(pool, specs[index],
-                                  _rid(run_ids, index), 1)
-                   for index in pending}
-    except (pickle.PicklingError, TypeError, OSError) as exc:
-        warnings.warn(f"process pool unavailable ({exc}); "
-                      "running serially")
-        for index in pending:
-            records[index] = execute_spec(
-                specs[index], _rid(run_ids, index), 1)
-            _journal_put(jrnl, keys, index, records[index])
-            _record_event(records[index], _rid(run_ids, index), 1)
-        return
-
-    deadline = _worker_timeout(timeout)
-    retry_limit = _retry_limit(retries)
-    attempts = {index: 1 for index in pending}
-    timed_out = set()     # hung under the watchdog -> bounded retry
-    serial_fill = set()   # pool gave up -> in-process execution
-    hung = False
-    reg = resilience()
-
-    try:
-        position = 0
-        while position < len(pending):
-            index = pending[position]
-            if records[index] is not None or index in timed_out \
-                    or index in serial_fill:
-                position += 1
-                continue
-            spec = specs[index]
-            try:
-                record = _await_result(futures[index], deadline,
-                                       progress)
-            except FutureTimeout:
-                # do NOT join this worker — abandon the pool below
-                hung = True
-                timed_out.add(index)
-                warnings.warn(
-                    f"worker exceeded the {deadline:.0f}s watchdog on "
-                    f"{spec.workload}; re-running serially")
-                continue
-            except BrokenProcessPool as exc:
-                # a worker died (SIGKILL, OOM). Blame the head-of-line
-                # spec for attempt accounting, rebuild the pool, and
-                # requeue everything still in flight.
-                attempts[index] += 1
-                if attempts[index] > retry_limit + 1:
-                    warnings.warn(
-                        f"pool failure on {spec.workload} "
-                        f"(BrokenProcessPool x{attempts[index] - 1}); "
-                        "re-running serially")
-                    serial_fill.add(index)
-                unfinished = [j for j in pending[position:]
-                              if records[j] is None
-                              and j not in timed_out
-                              and j not in serial_fill]
-                try:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
-                if not unfinished:
-                    continue
-                try:
-                    pool = _pool(min(jobs, len(unfinished)))
-                    for j in unfinished:
-                        futures[j] = _submit(pool, specs[j],
-                                             _rid(run_ids, j),
-                                             attempts[j])
-                    reg.inc(REQUEUED, len(unfinished))
-                    telemetry.emit("requeue", count=len(unfinished),
-                                   error=f"{type(exc).__name__}: {exc}")
-                    warnings.warn(
-                        f"worker process died ({exc}); pool rebuilt, "
-                        f"{len(unfinished)} spec(s) requeued")
-                except Exception as rebuild_exc:
-                    warnings.warn(
-                        f"process pool unavailable after worker death "
-                        f"({rebuild_exc}); re-running serially")
-                    serial_fill.update(unfinished)
-                continue
-            except Exception as exc:
-                # a worker raised / an unpicklable result: transient
-                # until proven otherwise — bounded resubmission with
-                # backoff, then the serial path.
-                error = f"{type(exc).__name__}: {exc}"
-                if attempts[index] <= retry_limit:
-                    attempts[index] += 1
-                    _backoff_sleep(attempts[index] - 1)
-                    try:
-                        futures[index] = _submit(
-                            pool, spec, _rid(run_ids, index),
-                            attempts[index])
-                    except Exception:
-                        pass
-                    else:
-                        reg.inc(RETRIES)
-                        telemetry.emit("retry",
-                                       run=_rid(run_ids, index),
-                                       span=attempts[index],
-                                       error=error)
-                        warnings.warn(
-                            f"pool failure on {spec.workload} ({error});"
-                            f" retrying with backoff (attempt "
-                            f"{attempts[index]}/{retry_limit + 1})")
-                        continue
-                warnings.warn(f"pool failure on {spec.workload} "
-                              f"({error}); re-running serially")
-                serial_fill.add(index)
-                continue
-            records[index] = record
-            _journal_put(jrnl, keys, index, record)
-            _record_event(record, _rid(run_ids, index),
-                          attempts[index])
-            if progress is not None:
-                progress.poll()
-            position += 1
-    except BaseException:
-        # interrupted mid-wait (e.g. SIGINT via the signal guard):
-        # terminate workers rather than leaking them, then let the
-        # journal drain in run_specs' finally
-        _abandon(pool)
-        raise
-
-    if hung:
-        _abandon(pool)
-    else:
-        try:
-            pool.shutdown(wait=True)
-        except Exception:
-            pass
-
-    for index in pending:
-        if records[index] is not None:
-            continue
-        spec = specs[index]
-        span = attempts[index] + 1
-        try:
-            if index in timed_out:
-                records[index] = _serial_retry(
-                    spec, deadline, reg, _rid(run_ids, index), span)
-            else:
-                records[index] = execute_spec(
-                    spec, _rid(run_ids, index), span)
-        except Exception as exc:
-            records[index] = _quarantine(spec, attempts[index], exc,
-                                         _rid(run_ids, index))
-        _journal_put(jrnl, keys, index, records[index])
-        _record_event(records[index], _rid(run_ids, index), span)
-        if progress is not None:
-            progress.poll()
-
-
-def _serial_retry(spec, deadline, reg, run_id=None, span=None):
-    """Bounded re-run of a spec whose pool worker hung: a fresh
-    single-worker pool under its own deadline. A second timeout is
-    recorded as ``status="timeout"`` with the elapsed time — a hung
-    spec may cost two deadlines, never the whole sweep."""
-    limit = _serial_retry_deadline(deadline)
-    start = time.monotonic()
-    try:
-        retry_pool = _pool(1)
-        future = _submit(retry_pool, spec, run_id, span)
-    except Exception as exc:
-        # no pool available: unbounded in-process degradation — the
-        # engine's own cycle/liveness watchdogs still apply
-        warnings.warn(f"serial-retry pool unavailable ({exc}); "
-                      f"running {spec.workload} in-process")
-        return execute_spec(spec, run_id, span)
-    try:
-        record = future.result(timeout=limit)
-    except FutureTimeout:
-        _abandon(retry_pool)
-        elapsed = time.monotonic() - start
-        reg.inc(TIMEOUTS)
-        telemetry.emit("timeout", run=run_id, span=span,
-                       elapsed=round(elapsed, 3), limit=limit)
-        warnings.warn(
-            f"{spec.workload} exceeded the {limit:.0f}s serial-retry "
-            f"deadline too; recording status=timeout")
-        record = _failure_record(
-            spec, "timeout",
-            f"serial retry exceeded {limit:.0f}s "
-            f"(elapsed {elapsed:.1f}s)", "hang")
-        if hasattr(record, "wall_seconds"):
-            record.wall_seconds = elapsed
-        return record
-    except Exception:
-        _abandon(retry_pool)
-        return execute_spec(spec, run_id, span)
-    retry_pool.shutdown(wait=True)
-    return record
-
-
-def _abandon(pool):
-    """Tear down a pool with a hung worker without joining it (a
-    ``shutdown(wait=True)`` — or interpreter exit — would block on the
-    stuck process otherwise)."""
-    procs = list((getattr(pool, "_processes", None) or {}).values())
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-    for proc in procs:
-        try:
-            proc.terminate()
-        except Exception:
-            pass
 
 
 def aggregate_stats(records, deterministic=False):

@@ -10,8 +10,8 @@ asyncio HTTP/JSON fabric:
   round-robin fair queue (admission control)
 * :mod:`repro.service.scheduler` — job admission, in-flight dedup,
   cache read-through, and the asyncio bridge onto the process pool
-  (with the PR-6 degradation ladder: retry, pool rebuild, serial
-  fallback, quarantine)
+  (the harness's one degradation ladder,
+  :class:`repro.harness.parallel.PoolLadder`)
 * :mod:`repro.service.app` — the HTTP/1.1 server itself (health,
   OpenMetrics, the ``/v1/cache`` remote tier, chunked run streaming)
 * :mod:`repro.service.client` — a blocking :mod:`http.client` client

@@ -21,8 +21,8 @@ JobScheduler`:
   stats while the job runs, and a final ``result`` carrying the full
   record. Admission failures are 429 with ``Retry-After``; malformed
   specs are 400. Worker loss mid-request is *not* an error — the
-  scheduler's degradation ladder absorbs it and the stream still ends
-  in a ``result``.
+  harness's degradation ladder (docs/RESILIENCE.md §3) absorbs it and
+  the stream still ends in a ``result``.
 
 :func:`serve_in_thread` runs a service on a daemon thread with its
 own event loop — how the tests and the benchmark host one in-process.
@@ -34,6 +34,7 @@ import json
 import threading
 
 from repro.harness import diskcache
+from repro.harness.parallel import record_status
 from repro.obs import telemetry
 from repro.obs.progress import ProgressRenderer
 from repro.obs.registry import StatsRegistry
@@ -68,7 +69,7 @@ class Service:
 
     def __init__(self, host="127.0.0.1", port=0, workers=2, cache=None,
                  cache_remote=None, rate=None, burst=None,
-                 queue_depth=64, timeout=None, retries=1, inline=False,
+                 queue_depth=64, timeout=None, retries=None, inline=False,
                  telemetry_path=None, stream_interval=STREAM_INTERVAL):
         self.host = host
         self.port = port
@@ -106,13 +107,16 @@ class Service:
         return self
 
     async def aclose(self):
+        # the scheduler first: it fails the open jobs, so their
+        # streams end and the server's connections can close
         if self._server is not None:
             self._server.close()
+        await self.scheduler.aclose()
+        if self._server is not None:
             try:
                 await self._server.wait_closed()
             except Exception:
                 pass
-        await self.scheduler.aclose()
         self.monitor.close()
 
     # ------------------------------------------------------------ http
@@ -274,7 +278,7 @@ class Service:
             self._send_line(
                 writer,
                 {"event": "result", "key": job.key, "outcome": outcome,
-                 "status": self.scheduler._status(record),
+                 "status": record_status(record),
                  "attempts": job.attempts, "sharers": job.sharers,
                  "record": record_doc(record)})
         writer.write(b"0\r\n\r\n")

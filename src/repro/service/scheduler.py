@@ -26,18 +26,13 @@
   they consume no worker, so they spend no tokens. Queue capacity is
   probed *before* the token bucket, so a bounce off a full queue
   costs the tenant nothing on retry.
-* **Pool bridge** — admitted jobs run through a persistent process
-  pool (``repro.harness.parallel.build_pool``) via
-  ``loop.run_in_executor``, with the PR-6 degradation ladder
-  reimplemented for a long-lived pool: a ``BrokenProcessPool``
-  (worker SIGKILL, OOM) rebuilds the pool once per failure generation
-  and resubmits the in-flight jobs (``requeue`` telemetry +
-  ``harness.requeued``); a worker exception is retried with backoff
-  (``retry`` + ``harness.retries``); a watchdog timeout abandons the
-  hung pool and synthesizes a ``timeout`` record; exhausted retries
-  fall back to an in-process thread execution, and a spec that fails
-  *there too* is quarantined (``status="quarantined"``) — a request
-  can degrade, never 500.
+* **Pool bridge** — an admitted job awaits
+  :class:`repro.harness.parallel.PoolLadder`, the one degradation
+  ladder :func:`run_specs` also drives (docs/RESILIENCE.md §3): retry
+  with backoff, pool rebuild + requeue on worker death, abandon + one
+  bounded retry on a hang, in-process fallback, quarantine — a request
+  can degrade, never 500. :meth:`JobScheduler.aclose` abandons the
+  pool, so shutdown never waits on a simulation in flight.
 
 ``inline=True`` swaps the process pool for a thread pool (no fork
 cost; the degradation ladder still applies minus worker death), which
@@ -47,24 +42,11 @@ is what the fast tests use.
 import asyncio
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.harness.journal import spec_key
-from repro.harness.parallel import (
-    abandon_pool,
-    build_pool,
-    default_worker_timeout,
-    execute_spec,
-)
+from repro.harness.parallel import PoolLadder, record_status
 from repro.harness.runner import RunSpec
 from repro.obs import telemetry
-from repro.obs.resilience import (
-    QUARANTINED,
-    REQUEUED,
-    RETRIES,
-    TIMEOUTS,
-    resilience,
-)
 from repro.service.tenancy import FairQueue, TokenBucket
 
 
@@ -99,18 +81,15 @@ class JobScheduler:
     """Admission + fair dispatch onto a persistent worker pool."""
 
     def __init__(self, workers=2, cache=None, rate=None, burst=None,
-                 queue_depth=64, timeout=None, retries=1,
-                 backoff=0.05, inline=False):
+                 queue_depth=64, timeout=None, retries=None,
+                 inline=False):
         self.workers = max(1, int(workers))
         self.cache = cache
         self.rate = rate                       # tokens/sec; None = off
         self.burst = burst if burst is not None \
             else max(2.0 * (rate or 0.0), 4.0)
-        self.timeout = timeout if timeout is not None \
-            else default_worker_timeout()
-        self.retries = max(0, int(retries))
-        self.backoff = backoff
-        self.inline = inline
+        self.ladder = PoolLadder(self.workers, timeout=timeout,
+                                 retries=retries, inline=inline)
         # counters surfaced on /metrics (service.* namespace)
         self.requests = 0
         self.executions = 0      # jobs dispatched to a worker
@@ -129,9 +108,8 @@ class JobScheduler:
         self._buckets = {}       # tenant -> TokenBucket
         self._inflight = {}      # key -> Job
         self._active = 0
-        self._generation = 0     # pool incarnation (rebuild guard)
+        self._tasks = set()      # _run_job tasks (cancelled on close)
         self._loop = None
-        self._pool = None
         self._wake = None
         self._dispatcher = None
         self._closed = False
@@ -141,26 +119,24 @@ class JobScheduler:
     def start(self, loop):
         """Bind to the running event loop and start dispatching."""
         self._loop = loop
-        self._pool = self._build_pool()
         self._wake = asyncio.Event()
         self._dispatcher = loop.create_task(self._dispatch(),
                                             name="repro-dispatch")
         return self
 
-    def _build_pool(self):
-        if self.inline:
-            return ThreadPoolExecutor(max_workers=self.workers,
-                                      thread_name_prefix="repro-job")
-        return build_pool(self.workers)
-
     async def aclose(self):
+        """Stop dispatching, fail every open job, and abandon the pool:
+        its workers are terminated, never joined, so shutdown does not
+        wait on the simulations still in flight."""
         self._closed = True
         if self._wake is not None:
             self._wake.set()
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
+        tasks = [t for t in (self._dispatcher, *self._tasks) if t]
+        for task in tasks:
+            task.cancel()
+        for task in tasks:
             try:
-                await self._dispatcher
+                await task
             except (asyncio.CancelledError, Exception):
                 pass
         for job in list(self._inflight.values()):
@@ -169,11 +145,7 @@ class JobScheduler:
                     RuntimeError("service shutting down"))
         self._inflight.clear()
         self._keyer.shutdown(wait=False, cancel_futures=True)
-        if self._pool is not None:
-            try:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
+        self.ladder.close()
 
     # ------------------------------------------------------- admission
 
@@ -201,11 +173,12 @@ class JobScheduler:
         keying = self._loop.run_in_executor(self._keyer, self.canonical,
                                             doc)
         try:
-            spec, key = await asyncio.wait_for(keying, self.timeout)
+            spec, key = await asyncio.wait_for(keying,
+                                               self.ladder.timeout)
         except asyncio.TimeoutError:
             raise ValueError(
                 f"building the workload to key this spec exceeded the "
-                f"{self.timeout:g}s service watchdog") from None
+                f"{self.ladder.timeout:g}s service watchdog") from None
         return self._admit(spec, key, tenant)
 
     def submit(self, doc, tenant="anon"):
@@ -237,7 +210,7 @@ class JobScheduler:
                 # "ok" record is trusted — a persisted failure (old
                 # writer, poisoned peer) must not short-circuit a
                 # fresh attempt
-                if self._status(record) != "ok":
+                if record_status(record) != "ok":
                     self.cache_stale += 1
                 else:
                     self.cache_immediate += 1
@@ -279,7 +252,9 @@ class JobScheduler:
                 if job is None:
                     break
                 self._active += 1
-                self._loop.create_task(self._run_job(job))
+                task = self._loop.create_task(self._run_job(job))
+                self._tasks.add(task)
+                task.add_done_callback(self._tasks.discard)
 
     async def _run_job(self, job):
         job.state = "running"
@@ -287,13 +262,11 @@ class JobScheduler:
         executed = record is None
         if executed:
             self.executions += 1
-            try:
-                record = await self._execute(job)
-            except Exception as exc:
-                record = self._quarantine(job, exc)
+            record, job.attempts = await self.ladder.run(job.spec,
+                                                         job.run_id)
         job.state = "done"
         self._inflight.pop(job.key, None)
-        status = self._status(record)
+        status = record_status(record)
         # never cache failed or truncated records (runner.py's write
         # invariant): a transient timeout or worker crash must not be
         # served "cached" to every later post of this spec — or worse,
@@ -330,95 +303,11 @@ class JobScheduler:
                 None, self.cache.remote_probe, job.key)
         except Exception:
             return None
-        if record is None or self._status(record) != "ok":
+        if record is None or record_status(record) != "ok":
             return None
         return record
 
-    async def _execute(self, job):
-        """The degradation ladder for one job (never raises except for
-        truly unexpected host errors — those quarantine upstream)."""
-        while True:
-            job.attempts += 1
-            generation = self._generation
-            future = self._loop.run_in_executor(
-                self._pool, execute_spec, job.spec, job.run_id,
-                job.attempts)
-            try:
-                return await asyncio.wait_for(future, self.timeout)
-            except asyncio.TimeoutError:
-                # the worker is hung: abandon the whole pool (joining
-                # would block on the stuck process) and rebuild
-                self._rebuild(generation, "watchdog timeout",
-                              abandon=True)
-                resilience().inc(TIMEOUTS)
-                telemetry.emit("timeout", run=job.run_id,
-                               span=job.attempts, limit=self.timeout)
-                return job.spec.failure_record(
-                    "timeout",
-                    f"exceeded the {self.timeout:.0f}s service "
-                    f"watchdog", "hang")
-            except BrokenProcessPool as exc:
-                # a worker died (SIGKILL, OOM): rebuild once per
-                # failure generation, then resubmit this job
-                self._rebuild(generation,
-                              f"{type(exc).__name__}: {exc}")
-                if job.attempts <= self.retries + 1:
-                    continue
-                return await self._serial(job)
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                if job.attempts <= self.retries:
-                    resilience().inc(RETRIES)
-                    telemetry.emit("retry", run=job.run_id,
-                                   span=job.attempts + 1, error=error)
-                    await asyncio.sleep(self.backoff * job.attempts)
-                    continue
-                return await self._serial(job)
-
-    async def _serial(self, job):
-        """Last resort before quarantine: execute on a plain thread
-        (never on the event loop — a simulation would stall every
-        other connection)."""
-        job.attempts += 1
-        return await self._loop.run_in_executor(
-            None, execute_spec, job.spec, job.run_id, job.attempts)
-
-    def _rebuild(self, generation, error, abandon=False):
-        """Replace the pool, at most once per failure generation — when
-        a dying worker breaks N in-flight futures, N tasks race here
-        and only the first rebuilds (the rest resubmit onto its new
-        pool)."""
-        if generation != self._generation or self._closed:
-            return
-        self._generation += 1
-        old = self._pool
-        self._pool = self._build_pool()
-        if abandon:
-            abandon_pool(old)
-        else:
-            try:
-                old.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-        requeued = max(self._active, 1)
-        resilience().inc(REQUEUED, requeued)
-        telemetry.emit("requeue", count=requeued, error=str(error))
-
-    def _quarantine(self, job, exc):
-        resilience().inc(QUARANTINED)
-        error = f"{type(exc).__name__}: {exc}"
-        telemetry.emit("quarantine", run=job.run_id,
-                       span=job.attempts, error=error)
-        return job.spec.failure_record("quarantined", error, "infra")
-
     # ----------------------------------------------------------- stats
-
-    @staticmethod
-    def _status(record):
-        status = getattr(record, "status", None)
-        if status is None and isinstance(record, dict):
-            status = record.get("status")
-        return str(status) if status is not None else "ok"
 
     def snapshot(self):
         """Flat counters for the ``/metrics`` exposition."""
@@ -434,5 +323,5 @@ class JobScheduler:
             "service.failed": self.failed,
             "service.queue.depth": len(self._queue),
             "service.active": self._active,
-            "service.pool.generation": self._generation,
+            "service.pool.generation": self.ladder.generation,
         }

@@ -8,8 +8,10 @@ fold. Pool-level failures (no fork, hung worker) degrade to serial
 without changing any result.
 """
 
+import ast
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +239,48 @@ class TestParallelCLI:
         assert args.jobs == 4
         args = build_parser().parse_args(["faults", "--jobs", "2"])
         assert args.jobs == 2
+
+
+# ---------------------------------------------------------------------
+# one ladder: no module but harness/parallel.py owns a process pool
+# ---------------------------------------------------------------------
+
+POOL_NAMES = {"ProcessPoolExecutor", "BrokenProcessPool"}
+
+
+def pool_sites(tree):
+    """``(line, names)`` for each import or attribute of a pool name."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found = {alias.name for alias in node.names} & POOL_NAMES
+        elif isinstance(node, ast.Attribute):
+            found = {node.attr} & POOL_NAMES
+        else:
+            continue
+        if found:
+            sites.append((node.lineno, sorted(found)))
+    return sites
+
+
+def test_only_the_ladder_owns_a_process_pool():
+    src = Path(parallel.__file__).resolve().parents[1]
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        if path == Path(parallel.__file__).resolve():
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for line, names in pool_sites(tree):
+            offenders.append(f"{path.relative_to(src)}:{line} {names}")
+    assert not offenders, (
+        "process pool handled outside repro.harness.parallel:\n"
+        + "\n".join(offenders))
+
+
+@pytest.mark.parametrize("source", [
+    "from concurrent.futures import ProcessPoolExecutor",
+    "from concurrent.futures.process import BrokenProcessPool",
+    "pool = futures.ProcessPoolExecutor(2)",
+])
+def test_pool_guard_catches_imports(source):
+    assert pool_sites(ast.parse(source))

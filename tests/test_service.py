@@ -16,7 +16,9 @@ Covers the docs/SERVICE.md contract end to end over real HTTP (a
 * admission control: per-tenant 429s with ``Retry-After``, queue
   depth bounds
 * worker SIGKILL mid-request degrades to a rebuilt pool and a
-  successful response — never a 500
+  successful response — never a 500; a hung run ends in a ``timeout``
+  record, a missing pool in an in-process run, and shutdown abandons
+  the workers still simulating
 """
 
 import json
@@ -24,12 +26,17 @@ import os
 import signal
 import threading
 import time
+import warnings
 
 import pytest
 
-from repro.harness import clear_cache, diskcache, run_specs
+from repro.harness import clear_cache, diskcache, parallel, run_specs
 from repro.obs import deterministic_view, telemetry
-from repro.obs.resilience import reset_resilience
+from repro.obs.resilience import (
+    TIMEOUTS,
+    reset_resilience,
+    resilience_snapshot,
+)
 from repro.service import (
     FairQueue,
     JobScheduler,
@@ -53,6 +60,9 @@ from tests.test_diskcache import (  # noqa: F401 (fixture)
 
 SPEC = {"machine": "diag", "workload": "nn", "config": "F4C2",
         "scale": 0.2}
+
+#: a run that simulates for well over ten seconds
+SLOW_SPEC = {"machine": "diag", "workload": "mcf", "scale": 4}
 
 
 @pytest.fixture(autouse=True)
@@ -563,12 +573,11 @@ class TestFailureRecordInvariant:
             try:
                 # every execution "times out" (transient infra, not a
                 # property of the spec)
-                async def fake_execute(job):
-                    job.attempts += 1
-                    return job.spec.failure_record(
-                        "timeout", "synthetic watchdog", "hang")
+                async def fake_run(spec, run_id=None):
+                    return spec.failure_record(
+                        "timeout", "synthetic watchdog", "hang"), 1
 
-                sched._execute = fake_execute
+                sched.ladder.run = fake_run
                 job, outcome = sched.submit(SPEC, tenant="t")
                 assert outcome == "scheduled"
                 record = await asyncio.wait_for(job.future, 30)
@@ -722,8 +731,8 @@ class TestWorkerLoss:
             deadline = time.monotonic() + 30
             killed = False
             while time.monotonic() < deadline and not killed:
-                procs = list((getattr(scheduler._pool, "_processes",
-                                      None) or {}).values())
+                procs = list((getattr(scheduler.ladder.pool,
+                                      "_processes", None) or {}).values())
                 if procs:
                     os.kill(procs[0].pid, signal.SIGKILL)
                     killed = True
@@ -735,8 +744,75 @@ class TestWorkerLoss:
             # no 500, no exception: a clean streamed result
             assert out.result is not None
             assert out.status == "ok"
-            assert scheduler._generation >= 1
+            assert scheduler.ladder.generation >= 1
             events = telemetry.read_events(handle.service.bus.path)
             assert any(e["ev"] == "requeue" for e in events)
         finally:
             handle.close()
+
+    def test_hung_run_times_out_and_is_not_cached(self, tmp_path,
+                                                  monkeypatch):
+        """The watchdog fires on a posted run: the pool is abandoned,
+        the run gets one bounded retry, and the stream still ends in a
+        ``result`` — a classified ``timeout``, never a 5xx — that is
+        not cached, so a re-post executes again."""
+        monkeypatch.setenv("REPRO_SERIAL_RETRY_TIMEOUT", "0.5")
+        # keyed in-process first, so keying stays inside the watchdog
+        JobScheduler.canonical(SLOW_SPEC)
+        handle, client = start_service(tmp_path, inline=False,
+                                       workers=1, timeout=0.5)
+        try:
+            out = client.run(SLOW_SPEC)
+            assert out.result is not None
+            assert out.status == "timeout"
+            assert out.record["failure_class"] == "hang"
+            assert resilience_snapshot()[TIMEOUTS] == 1
+            again = client.run(SLOW_SPEC)
+            assert again.outcome == "scheduled"
+            assert again.status == "timeout"
+            assert handle.service.scheduler.executions == 2
+        finally:
+            handle.close()
+
+    def test_missing_pool_runs_in_process(self, tmp_path, monkeypatch):
+        """No process pool at all (fork refused): a post still streams
+        an ``ok`` result through the in-process fallback."""
+        def broken_pool(max_workers):
+            raise OSError("fork refused")
+        monkeypatch.setattr(parallel, "_pool", broken_pool)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            handle, client = start_service(tmp_path, inline=False)
+            try:
+                out = client.run(SPEC)
+            finally:
+                handle.close()
+        assert out.status == "ok"
+        assert any("running serially" in str(w.message) for w in caught)
+
+    def test_shutdown_terminates_running_workers(self, tmp_path):
+        """Closing the service with a run in flight terminates its pool
+        worker instead of waiting for the simulation to finish."""
+        JobScheduler.canonical(SLOW_SPEC)
+        handle, client = start_service(tmp_path, inline=False, workers=1)
+
+        def post():
+            try:
+                client.run(SLOW_SPEC)
+            except Exception:
+                pass  # the stream is cut by the shutdown
+
+        poster = threading.Thread(target=post, daemon=True)
+        poster.start()
+        scheduler = handle.service.scheduler
+        procs = []
+        deadline = time.monotonic() + 30
+        while not procs and time.monotonic() < deadline:
+            procs = list((getattr(scheduler.ladder.pool, "_processes",
+                                  None) or {}).values())
+            time.sleep(0.05)
+        assert procs, "no pool worker appeared"
+        time.sleep(0.3)  # the worker is simulating now
+        handle.close()
+        time.sleep(2.0)
+        assert not any(proc.is_alive() for proc in procs)
