@@ -10,6 +10,8 @@ private stacks).
 from dataclasses import dataclass, field
 
 from repro.baseline.ooo import OoOConfig, OoOCore, OoOStats
+from repro.checkpoint import Checkpointable
+from repro.core.clock import drive
 from repro.core.lanes import ArchLanes
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
@@ -51,10 +53,11 @@ class MulticoreResult:
         return self.stats.retired / self.cycles if self.cycles else 0.0
 
 
-class MulticoreCPU:
-    """N lockstep out-of-order cores sharing L2 and main memory."""
+class MulticoreCPU(Checkpointable):
+    """N lockstep out-of-order cores sharing L2 and main memory.
 
-    STACK_BYTES_PER_THREAD = 64 * 1024
+    Checkpoints capture all cores plus the shared hierarchy and memory
+    in one snapshot (docs/RESILIENCE.md)."""
 
     def __init__(self, config, program, num_cores, thread_regs=None):
         self.config = config
@@ -62,99 +65,27 @@ class MulticoreCPU:
         self.memory, self.shared_l2, hierarchies = \
             build_shared_hierarchies(config, num_cores)
         program.load_into(self.memory)
-        self.cores = []
-        for tid in range(num_cores):
-            arch = ArchLanes()
-            arch.x[2] = ArchLanes.STACK_TOP \
-                - tid * self.STACK_BYTES_PER_THREAD
-            arch.x[10] = tid
-            arch.x[11] = num_cores
-            if thread_regs is not None and tid < len(thread_regs):
-                for reg, value in thread_regs[tid].items():
-                    arch.x[reg] = value & 0xFFFFFFFF
-            self.cores.append(OoOCore(config, program,
-                                      hierarchy=hierarchies[tid],
-                                      arch=arch, core_id=tid,
-                                      load_image=False))
+        self.cores = [
+            OoOCore(config, program, hierarchy=hierarchies[tid],
+                    arch=ArchLanes.spmd(tid, num_cores, thread_regs),
+                    core_id=tid, load_image=False)
+            for tid in range(num_cores)]
 
     def run(self, max_cycles=None):
-        budget = max_cycles if max_cycles is not None \
-            else self.config.max_cycles
-        # resume-safe (see DiAGProcessor.run): skip already-halted
-        # cores and continue from the cores' absolute cycle — both
-        # no-ops for a fresh CPU
-        live = [c for c in self.cores if not c.halted]
-        # Group fast-forward: lockstep cores may only skip together, to
-        # the earliest event of any live core (cores interact solely
-        # through the shared hierarchy, which no quiescent core touches
-        # before its next event). ff_setup() runs on every core.
-        ff = True
-        for core in self.cores:
-            ff = core.ff_setup() and ff
-        cycle = max((c.cycle for c in self.cores), default=0)
-        while live and cycle < budget:
-            for core in live:
-                core.step()
-                core.check_watchdog()
-            live = [c for c in live if not c.halted]
-            cycle += 1
-            if ff and live:
-                target = budget
-                for core in live:
-                    core_target = core.ff_target(budget)
-                    if core_target is None:
-                        target = None
-                        break
-                    target = min(target, core_target)
-                if target is not None:
-                    for core in live:
-                        core.ff_skip_to(target)
-                    cycle = target
+        """Run all cores in lockstep until every thread halts; the
+        cycle budget is absolute (see DiAGProcessor.run)."""
+        drive(self.cores, max_cycles)
         return self._collect()
 
     def _collect(self):
         result = MulticoreResult()
-        merged = OoOStats()
         for core in self.cores:
-            stats = core.stats
-            result.core_stats.append(stats)
-            merged.retired += stats.retired
-            merged.fetched += stats.fetched
-            merged.branches += stats.branches
-            merged.taken_branches += stats.taken_branches
-            merged.mispredicts += stats.mispredicts
-            merged.loads += stats.loads
-            merged.stores += stats.stores
-            merged.store_forwards += stats.store_forwards
-            merged.fp_ops += stats.fp_ops
-            merged.renames += stats.renames
-            merged.issues += stats.issues
-            merged.rob_writes += stats.rob_writes
-            merged.regfile_reads += stats.regfile_reads
-            merged.fu_cycles += stats.fu_cycles
-            merged.fpu_cycles += stats.fpu_cycles
-            merged.rob_occupancy_sum += stats.rob_occupancy_sum
-            for reason, count in stats.stall_cycles.items():
-                merged.stall(reason, count)
-            merged.cycles = max(merged.cycles, stats.cycles)
-        result.stats = merged
-        result.cycles = merged.cycles
+            result.stats.merge(core.stats)
+            result.core_stats.append(core.stats)
+        result.cycles = result.stats.cycles
         result.halted = all(c.halted for c in self.cores)
         result.timed_out = not result.halted
         return result
-
-    # ----------------------------------------------------- checkpointing
-
-    def save_state(self, meta=None):
-        """Snapshot all cores + the shared hierarchy/memory into a
-        :class:`repro.checkpoint.Checkpoint` (docs/RESILIENCE.md)."""
-        from repro import checkpoint
-        return checkpoint.save_state(self, meta=meta)
-
-    @classmethod
-    def restore_state(cls, ckpt):
-        from repro import checkpoint
-        return checkpoint.restore_state(ckpt, expect=cls.__name__)
 
 
 def run_multicore(program, num_cores, config=None, thread_regs=None,

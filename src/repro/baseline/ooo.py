@@ -15,9 +15,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.baseline.predictor import GSharePredictor
+from repro.checkpoint import Checkpointable
+from repro.core.clock import ClockedUnit, drive
 from repro.core.lanes import ArchLanes
-from repro.core.stats import StallReason
-from repro.core.watchdog import ProgressWatchdog
+from repro.core.stats import CoreStats, StallReason
 from repro.iss.semantics import compute, finish_load
 from repro.memory.lsu import resolve_store_access
 from repro.isa.instructions import FUClass
@@ -75,7 +76,7 @@ _FU_POOL_OF = {
 
 
 @dataclass
-class OoOStats:
+class OoOStats(CoreStats):
     cycles: int = 0
     retired: int = 0
     fetched: int = 0
@@ -97,26 +98,6 @@ class OoOStats:
     # engines land identical core.stall.* names in the stats registry)
     stall_cycles: dict = field(default_factory=dict)
     rob_occupancy_sum: int = 0   # sum of ROB depth per cycle
-
-    @property
-    def ipc(self):
-        return self.retired / self.cycles if self.cycles else 0.0
-
-    def stall(self, reason, cycles=1):
-        self.stall_cycles[reason] = self.stall_cycles.get(reason, 0) \
-            + cycles
-
-    @property
-    def total_stalls(self):
-        return sum(self.stall_cycles.values())
-
-    def stall_fractions(self):
-        """{reason: fraction of all stall cycles}; empty dict if none."""
-        total = self.total_stalls
-        if not total:
-            return {}
-        return {reason: count / total
-                for reason, count in self.stall_cycles.items()}
 
 
 @dataclass
@@ -175,30 +156,26 @@ class _RobEntry:
         return self.state == self.DONE
 
 
-class OoOCore:
+class OoOCore(Checkpointable, ClockedUnit):
     """One out-of-order core running one software thread."""
+
+    machine = "ooo"
 
     def __init__(self, config, program, hierarchy=None, arch=None,
                  core_id=0, load_image=True, entry_pc=None):
-        self.config = config
+        super().__init__(config)
         self.program = program
         self.core_id = core_id
         self.hierarchy = hierarchy if hierarchy is not None \
             else MemoryHierarchy(config.hierarchy_config())
         if load_image:
             program.load_into(self.hierarchy.memory)
-        if arch is None:
-            arch = ArchLanes()
-            arch.x[10] = core_id  # a0: SPMD thread id
-            arch.x[11] = 1        # a1: thread count
-        self.arch = arch
+        self.arch = arch if arch is not None \
+            else ArchLanes.spmd(core_id, 1)
         self.stats = OoOStats()
         self.predictor = GSharePredictor()
         self.btb = {}
         self.ras = []
-        self.cycle = 0
-        self.halted = False
-        self.halt_reason = None
 
         self.fetch_pc = entry_pc if entry_pc is not None \
             else program.entry
@@ -218,29 +195,9 @@ class OoOCore:
         self._line_buffer = None
         self._pending_interrupt = None
         self.csrs = {}
-        #: optional callable(addr, instr) invoked at each retirement
-        self.retire_hook = None
-        #: optional callable(entry) invoked right after _commit applies
-        #: an entry's architectural effects (repro.verify lockstep).
-        #: Retirements never occur inside a fast-forward span, so this
-        #: hook is FF-safe and deliberately absent from ff_setup().
-        self.commit_hook = None
         #: (addr, mnemonic) of the most recent commit, for hang reports
         self._last_commit = None
-        #: optional FaultInjector (repro.faults): routed through at each
-        #: value-producing site ("rob" results, "regfile" commits)
-        self.fault_hook = None
-        #: optional repro.obs.EventTracer; every emission site is
-        #: guarded by a None check so disabled tracing stays free
-        self.tracer = None
         self._retired_this_cycle = 0
-        self.watchdog = ProgressWatchdog(
-            getattr(config, "watchdog_window", 0))
-        #: fast-forward bookkeeping (diagnostics, not exported to stats:
-        #: the stats document must be identical with skipping off)
-        self.ff_skips = 0
-        self.ff_skipped_cycles = 0
-        self._ff_active = False
         self._ff_retry_starved = False
 
     # ---------------------------------------------------------------- run
@@ -252,55 +209,16 @@ class OoOCore:
         instruction retires for ``config.watchdog_window`` cycles.
 
         ``max_retired`` is an *absolute* retired-instruction budget
-        (sampling windows, ``repro.sampling``): the loop pauses at the
+        (sampling windows, ``repro.sampling``): the core pauses at the
         first cycle boundary with ``stats.retired >= max_retired``;
         the pause is resumable — call run() again with larger
-        budgets."""
-        budget = max_cycles if max_cycles is not None \
-            else self.config.max_cycles
-        ff = self.ff_setup()
-        step = self.step
-        check = self.check_watchdog
-        while not self.halted and self.cycle < budget:
-            if max_retired is not None \
-                    and self.stats.retired >= max_retired:
-                break
-            step()
-            check()
-            if ff:
-                target = self.ff_target(budget)
-                if target is not None:
-                    self.ff_skip_to(target)
+        budgets. Every bit of in-flight state lives on the object
+        graph, so a core restored from a checkpoint resumes exactly
+        (tests/test_checkpoint.py)."""
+        drive([self], max_cycles, max_retired)
         return OoOResult(cycles=self.cycle, stats=self.stats,
                          halted=self.halted, timed_out=not self.halted,
                          halt_reason=self.halt_reason)
-
-    # ----------------------------------------------------- checkpointing
-    #
-    # The cycle budget in run() is absolute and every bit of in-flight
-    # state (ROB, lane tails, store buffer, blocked loads, ready heap,
-    # predictor/caches, stats) lives on the object graph, so a restored
-    # core resumes exactly: run-N -> save -> restore -> run-M equals an
-    # uninterrupted N+M run (tests/test_checkpoint.py).
-
-    def save_state(self, meta=None):
-        """Snapshot this core into a :class:`repro.checkpoint.
-        Checkpoint` (docs/RESILIENCE.md); hooks/tracers detach and
-        come back as None on restore."""
-        from repro import checkpoint
-        return checkpoint.save_state(self, meta=meta)
-
-    @classmethod
-    def restore_state(cls, ckpt):
-        from repro import checkpoint
-        return checkpoint.restore_state(ckpt, expect=cls.__name__)
-
-    def check_watchdog(self):
-        """Raise SimulationHang if the core has stopped retiring."""
-        if self.halted:
-            return
-        self.watchdog.check("ooo", self.cycle, self.stats.retired,
-                            self.head_state)
 
     def head_state(self):
         """Diagnostic snapshot of the ROB head and front-end state."""
@@ -378,31 +296,15 @@ class OoOCore:
 
     # ------------------------------------------------------- fast-forward
     #
-    # Event-driven cycle skipping, same contract as the ring engine
-    # (docs/PERFORMANCE.md): when a step could only repeat the per-cycle
-    # accounting, jump the clock to the earliest scheduled event and
-    # credit the span in one batch, byte-identical to ticking.
-
-    def ff_setup(self):
-        """Decide once per run whether fast-forward may engage (per-
-        cycle observers — tracer, fault injector, PipeTracer — and a
-        disabled watchdog force skip-off)."""
-        self._ff_active = bool(
-            getattr(self.config, "fast_forward", True)
-            and self.tracer is None
-            and self.fault_hook is None
-            and getattr(self, "_pipetracer", None) is None
-            and self.watchdog.window > 0)
-        return self._ff_active
-
-    #: Smallest span worth skipping — see RingEngine.FF_MIN_SPAN.
-    FF_MIN_SPAN = 4
+    # The core's half of the fast-forward contract (repro.core.clock):
+    # a quiescent core has an idle front end and nothing that issues,
+    # retires or pops before the next scheduled event.
 
     def quiescent(self):
         """True when no state transition can happen before the next
         known event — i.e. every intervening step would be a no-op.
-        Called by :meth:`ff_target` after the cheap event-bound
-        pre-filter and heap purge."""
+        Called by ``ff_target`` after the cheap event-bound pre-filter
+        and heap purge."""
         if self.halted or self._pending_interrupt is not None \
                 or self._ff_retry_starved or self._blocked_loads:
             # Blocked loads retry every cycle and wake on store-buffer
@@ -426,50 +328,26 @@ class OoOCore:
                 return False  # retires / pops next step
         return True
 
-    def ff_target(self, budget):
-        """The cycle to jump to, or None when skipping is not possible.
-
-        Capped at the budget, at ``watchdog.deadline() - 1`` (so a hang
-        fires at the identical simulated cycle), and at the front-end
-        restart time (the rob-empty stall classification branches on
-        ``cycle < _fetch_stalled_until``). The event bound is computed
-        *before* the quiescence analysis so most attempts die on the
-        cheap FF_MIN_SPAN pre-filter."""
-        now = self.cycle
-        self._ff_purge_heaps()
+    def _ff_events(self):
+        """Cycles of the scheduled events that can wake the core. The
+        front-end restart is one of them: the rob-empty stall
+        classification branches on ``cycle < _fetch_stalled_until``."""
         events = []
         if self._executing:
             events.append(self._executing[0][0])
         if self._ready_heap:
             events.append(self._ready_heap[0][0])
         stalled = self._fetch_stalled_until
-        if stalled != float("inf") and stalled > now:
+        if stalled != float("inf") and stalled > self.cycle:
             events.append(stalled)
-        target = min(events) if events else budget
-        if target > budget:
-            target = budget
-        deadline = self.watchdog.deadline()
-        if deadline is not None and target > deadline - 1:
-            target = deadline - 1
-        if target - now < self.FF_MIN_SPAN:
-            return None
-        if not self.quiescent():
-            return None
-        return target
+        return events
 
-    def ff_skip_to(self, target):
-        """Jump the clock to ``target``, batch-accounting the span."""
-        span = target - self.cycle
-        if span <= 0:
-            return
+    def _ff_account(self, span):
+        """Credit ``span`` skipped cycles exactly as ticking would."""
         reason = self._classify_stall()
         if reason is not None:
             self.stats.stall(reason, span)
         self.stats.rob_occupancy_sum += len(self.rob) * span
-        self.ff_skips += 1
-        self.ff_skipped_cycles += span
-        self.cycle = target
-        self.stats.cycles = target
 
     def _ff_purge_heaps(self):
         """Drop stale heap heads (squashed / already-handled entries)

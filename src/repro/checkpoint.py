@@ -79,6 +79,27 @@ class Checkpoint:
         return restore_state(self)
 
 
+class Checkpointable:
+    """``save_state``/``restore_state`` for a simulator class.
+
+    ``save_state`` snapshots the object graph into a
+    :class:`Checkpoint` (docs/RESILIENCE.md); the :attr:`hooks` are
+    detached around the pickle and come back as None after
+    ``restore_state``, which rebuilds the simulator and rejects a
+    checkpoint of any other class. A run method with an absolute budget
+    then continues exactly where the snapshot stopped."""
+
+    #: hook attributes detached for the pickle (see :func:`save_state`)
+    hooks = HOOK_ATTRS
+
+    def save_state(self, meta=None):
+        return save_state(self, hooks=self.hooks, meta=meta)
+
+    @classmethod
+    def restore_state(cls, ckpt):
+        return restore_state(ckpt, expect=cls.__name__)
+
+
 def _progress_of(sim):
     """Best progress marker for a simulator: its cycle counter, the max
     over its rings/cores, or the ISS instruction count."""

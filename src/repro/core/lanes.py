@@ -26,11 +26,29 @@ class ArchLanes:
     """Committed architectural lane values (integer 'x' + FP 'f')."""
 
     STACK_TOP = 0x7FFFF0
+    #: private stack carved below STACK_TOP for each SPMD thread
+    STACK_BYTES_PER_THREAD = 64 * 1024
 
     def __init__(self):
         self.x = [0] * 32
         self.f = [0] * 32
         self.x[2] = self.STACK_TOP  # sp
+
+    @classmethod
+    def spmd(cls, tid, num_threads, thread_regs=None):
+        """Entry lanes of SPMD thread ``tid`` of ``num_threads``: a0 =
+        tid, a1 = num_threads (the convention every multi-threaded
+        workload uses) and a private stack below the shared stack top.
+        ``thread_regs`` is an optional per-thread list of
+        ``{reg_index: value}`` seeds applied on top."""
+        arch = cls()
+        arch.x[2] = cls.STACK_TOP - tid * cls.STACK_BYTES_PER_THREAD
+        arch.x[10] = tid
+        arch.x[11] = num_threads
+        if thread_regs is not None and tid < len(thread_regs):
+            for reg, value in thread_regs[tid].items():
+                arch.x[reg] = value & MASK32
+        return arch
 
     def read(self, regfile, index):
         bank = self.f if regfile == "f" else self.x

@@ -11,6 +11,8 @@ modelled through the shared bank/bus timing state.
 
 from dataclasses import dataclass, field
 
+from repro.checkpoint import Checkpointable
+from repro.core.clock import drive
 from repro.core.lanes import ArchLanes
 from repro.core.ring import RingEngine
 from repro.core.stats import RingStats
@@ -38,10 +40,12 @@ class DiAGResult:
         return self.instructions / self.cycles if self.cycles else 0.0
 
 
-class DiAGProcessor:
-    """A DiAG processor instance executing one program."""
+class DiAGProcessor(Checkpointable):
+    """A DiAG processor instance executing one program.
 
-    STACK_BYTES_PER_THREAD = 64 * 1024
+    Checkpoints (``save_state``/``restore_state``) capture the rings,
+    lanes, shared hierarchy, memory and stats in one snapshot;
+    :meth:`run` then continues exactly where the snapshot stopped."""
 
     def __init__(self, config, program, num_threads=1, thread_regs=None,
                  hierarchy=None, tracer=None):
@@ -62,14 +66,7 @@ class DiAGProcessor:
         program.load_into(self.hierarchy.memory)
         self.rings = []
         for tid in range(num_threads):
-            arch = ArchLanes()
-            arch.x[2] = ArchLanes.STACK_TOP \
-                - tid * self.STACK_BYTES_PER_THREAD
-            arch.x[10] = tid
-            arch.x[11] = num_threads
-            if thread_regs is not None and tid < len(thread_regs):
-                for reg, value in thread_regs[tid].items():
-                    arch.x[reg] = value & 0xFFFFFFFF
+            arch = ArchLanes.spmd(tid, num_threads, thread_regs)
             ring = RingEngine(config, self.hierarchy, program,
                               arch=arch, ring_id=tid)
             ring.tracer = tracer
@@ -89,70 +86,19 @@ class DiAGProcessor:
 
         Raises :class:`repro.core.watchdog.SimulationHang` if any ring
         stops retiring for ``config.watchdog_window`` cycles."""
-        budget = max_cycles if max_cycles is not None \
-            else self.config.max_cycles
-        # resume-safe: already-halted rings must not step again and the
-        # loop counter picks up from the rings' absolute cycle (both
-        # are no-ops for a fresh processor)
-        live = [r for r in self.rings if not r.halted]
-        # Group fast-forward: lockstep rings may only skip together, to
-        # the earliest event of any live ring (rings interact solely
-        # through memory, which no quiescent ring touches before its
-        # next event). ff_setup() runs on every ring, no short-circuit.
-        ff = True
-        for ring in self.rings:
-            ff = ring.ff_setup() and ff
-        cycle = max((r.cycle for r in self.rings), default=0)
-        while live and cycle < budget:
-            for ring in live:
-                ring.step()
-                ring.check_watchdog()
-            live = [r for r in live if not r.halted]
-            cycle += 1
-            if ff and live:
-                target = budget
-                for ring in live:
-                    ring_target = ring.ff_target(budget)
-                    if ring_target is None:
-                        target = None
-                        break
-                    target = min(target, ring_target)
-                if target is not None:
-                    for ring in live:
-                        ring.ff_skip_to(target)
-                    cycle = target
+        drive(self.rings, max_cycles)
         return self._collect()
 
     def _collect(self):
         result = DiAGResult()
-        merged = RingStats()
         for ring in self.rings:
-            merged.merge(ring.stats)
+            result.stats.merge(ring.stats)
             result.ring_stats.append(ring.stats)
             result.halt_reasons.append(ring.halt_reason)
-        result.stats = merged
         result.cycles = max((r.cycle for r in self.rings), default=0)
         result.halted = all(r.halted for r in self.rings)
         result.timed_out = not result.halted
         return result
-
-    # ----------------------------------------------------- checkpointing
-
-    def save_state(self, meta=None):
-        """Snapshot the whole processor (rings, lanes, hierarchy,
-        memory, stats) into a :class:`repro.checkpoint.Checkpoint`;
-        see docs/RESILIENCE.md. Hooks/tracers are detached and come
-        back as None after :meth:`restore_state`."""
-        from repro import checkpoint
-        return checkpoint.save_state(self, meta=meta)
-
-    @classmethod
-    def restore_state(cls, ckpt):
-        """Rebuild a processor from a checkpoint taken by
-        :meth:`save_state`; :meth:`run` then continues exactly where
-        the snapshot stopped."""
-        from repro import checkpoint
-        return checkpoint.restore_state(ckpt, expect=cls.__name__)
 
 
 def run_program(program, config, num_threads=1, thread_regs=None,

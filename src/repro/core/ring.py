@@ -25,12 +25,13 @@ This is the cycle-level model of Sections 4 and 5 of the paper:
 import heapq
 import itertools
 
+from repro.checkpoint import Checkpointable
+from repro.core.clock import ClockedUnit, drive
 from repro.core.cluster import Cluster
 from repro.core.lanes import ArchLanes, lane_delay
 from repro.core.pe import PEEntry, PEState
 from repro.core.simt import SimtExecutor, analyze_simt_regions
 from repro.core.stats import RingStats, StallReason
-from repro.core.watchdog import ProgressWatchdog
 from repro.iss.semantics import compute, finish_load
 from repro.memory.lsu import resolve_store_access
 from repro.isa.decoder import DecodeError, decode
@@ -38,20 +39,19 @@ from repro.isa.decoder import DecodeError, decode
 MASK32 = 0xFFFFFFFF
 
 
-class RingEngine:
+class RingEngine(Checkpointable, ClockedUnit):
     """One dataflow ring executing one software thread."""
+
+    machine = "diag"
 
     def __init__(self, config, hierarchy, program, entry_pc=None,
                  arch=None, ring_id=0):
-        self.config = config
+        super().__init__(config)
         self.hierarchy = hierarchy
         self.program = program
         self.ring_id = ring_id
         self.arch = arch if arch is not None else ArchLanes()
         self.stats = RingStats()
-        self.cycle = 0
-        self.halted = False
-        self.halt_reason = None
 
         # Resident clusters: base line address -> [Cluster, ...].
         # Several clusters may hold copies of the same line: when a loop
@@ -100,29 +100,8 @@ class RingEngine:
         self._retired_this_cycle = 0
         self._pending_interrupt = None
         self.csrs = {}
-        #: optional callable(addr, instr) invoked at each retirement,
-        #: in program order (test/trace hook)
-        self.retire_hook = None
-        #: optional callable(entry) invoked right after _commit applies
-        #: an entry's architectural effects (repro.verify lockstep).
-        #: Retirements never occur inside a fast-forward span, so this
-        #: hook is FF-safe and deliberately absent from ff_setup().
-        self.commit_hook = None
         #: (addr, mnemonic) of the most recent commit, for hang reports
         self._last_commit = None
-        #: optional FaultInjector (repro.faults): routed through at each
-        #: value-producing site ("pe" results, "lane" commits)
-        self.fault_hook = None
-        #: optional repro.obs.EventTracer; every emission site is
-        #: guarded by a None check so disabled tracing stays free
-        self.tracer = None
-        self.watchdog = ProgressWatchdog(
-            getattr(config, "watchdog_window", 0))
-        #: fast-forward bookkeeping (diagnostics, not exported to stats:
-        #: the stats document must be identical with skipping off)
-        self.ff_skips = 0
-        self.ff_skipped_cycles = 0
-        self._ff_active = False
         self._ff_arm_spin_kind = None
 
     # ================================================================ API
@@ -134,59 +113,20 @@ class RingEngine:
         instruction retires for ``config.watchdog_window`` cycles.
 
         ``max_retired`` is an *absolute* retired-instruction budget
-        (sampling windows, ``repro.sampling``): the loop pauses at the
-        first cycle boundary with ``stats.retired >= max_retired``,
-        but never inside a pipelined SIMT region — ``_enter_simt``
-        credits the whole region's instructions up front while its
-        cycles elapse until ``_simt_until``, so pausing mid-region
-        would pair credited instructions with missing cycles. The
-        pause is resumable: call run() again with larger budgets."""
-        budget = max_cycles if max_cycles is not None \
-            else self.config.max_cycles
-        ff = self.ff_setup()
-        step = self.step
-        check = self.check_watchdog
-        while not self.halted and self.cycle < budget:
-            if max_retired is not None \
-                    and self.stats.retired >= max_retired \
-                    and self._simt_until is None:
-                break
-            step()
-            check()
-            if ff:
-                target = self.ff_target(budget)
-                if target is not None:
-                    self.ff_skip_to(target)
+        (sampling windows, ``repro.sampling``): the ring pauses at the
+        first cycle boundary with ``stats.retired >= max_retired``
+        outside a pipelined SIMT region (:meth:`in_region`). The pause
+        is resumable: call run() again with larger budgets. Budgets are
+        absolute, so a ring restored from a checkpoint (single-ring
+        snapshots carry their own hierarchy copy) resumes exactly."""
+        drive([self], max_cycles, max_retired)
         return self.stats
 
-    # ----------------------------------------------------- checkpointing
-    #
-    # All in-flight DiAG state is distributed across this object graph
-    # (register-lane occupancy, window entries, cluster buffers, LSU
-    # queues, reuse/predictor state, stats) and run()'s budget is
-    # absolute, so a pickled ring resumes exactly. Single-ring
-    # checkpoints carry their own hierarchy copy; multi-ring snapshots
-    # go through DiAGProcessor.save_state so the shared hierarchy is
-    # captured once.
-
-    def save_state(self, meta=None):
-        """Snapshot this ring (plus its hierarchy/memory) into a
-        :class:`repro.checkpoint.Checkpoint`; docs/RESILIENCE.md."""
-        from repro import checkpoint
-        return checkpoint.save_state(self, meta=meta)
-
-    @classmethod
-    def restore_state(cls, ckpt):
-        from repro import checkpoint
-        return checkpoint.restore_state(ckpt, expect=cls.__name__)
-
-    def check_watchdog(self):
-        """Raise SimulationHang if the ring has stopped retiring."""
-        if self.halted:
-            return
-        self.watchdog.check("diag", self.cycle, self.stats.retired,
-                            self.head_state,
-                            progressing=self._simt_until is not None)
+    def in_region(self):
+        """Inside a pipelined SIMT region: ``_enter_simt`` credited the
+        region's instructions up front and its cycles elapse until
+        ``_simt_until``."""
+        return self._simt_until is not None
 
     def head_state(self):
         """Diagnostic snapshot of the window head and dispatch state."""
@@ -247,41 +187,17 @@ class RingEngine:
 
     # ======================================================= fast-forward
     #
-    # Event-driven cycle skipping (docs/PERFORMANCE.md). A cycle is
-    # *quiescent* when a step would change nothing but the per-cycle
-    # accounting: every in-flight operation finishes at a known future
-    # cycle, dispatch is parked, and the window head can only be woken
-    # by one of those events. Skipping then jumps the clock straight to
-    # the earliest event and credits the span in one batch — stall
-    # classification (constant across the span) x N, energy census x N
-    # — so the final stats document is byte-identical to ticking.
-
-    def ff_setup(self):
-        """Decide once per run whether fast-forward may engage.
-
-        Per-cycle observers force skip-off: an event tracer or a
-        PipeTracer samples stepped state, a fault injector counts
-        value-production sites against its trigger, and a disabled
-        watchdog (window 0) leaves no deadline to cap skips against."""
-        self._ff_active = bool(
-            getattr(self.config, "fast_forward", True)
-            and self.tracer is None
-            and self.fault_hook is None
-            and getattr(self, "_pipetracer", None) is None
-            and self.watchdog.window > 0)
-        return self._ff_active
-
-    #: Smallest span worth skipping: the quiescence analysis (cluster
-    #: scans, stall classification, batched census) costs about as much
-    #: as stepping a few no-op cycles, so short skips are a net loss.
-    #: Any value is cycle-exact — skips only cover provably no-op steps.
-    FF_MIN_SPAN = 4
+    # The ring's half of the fast-forward contract (repro.core.clock):
+    # a quiescent ring has dispatch parked and a window head that only
+    # one of the scheduled events can wake. A skipped span credits the
+    # stall classification (constant across the span) x N and the
+    # energy census x N.
 
     def quiescent(self):
         """True when no state transition can happen before the next
         known event — i.e. every intervening step would be a no-op.
-        Called by :meth:`ff_target` after the cheap guards and heap
-        purge; ordered cheapest-check-first."""
+        Called by ``ff_target`` after the cheap guards and heap purge;
+        ordered cheapest-check-first."""
         if (self.halted or self._pending_interrupt is not None
                 or self._retry or self._blocked_loads):
             # Blocked loads retry every cycle and wake on store-buffer
@@ -306,45 +222,18 @@ class RingEngine:
             self._ff_arm_spin_kind = kind
         return True
 
-    def next_event_cycle(self):
-        """Earliest future cycle at which stepped state can change, or
-        None when nothing is scheduled (quiescent forever: the watchdog
-        deadline or the cycle budget is the only bound)."""
-        events = []
-        if self._simt_until is not None:
-            return self._simt_until
-        if self._executing:
-            events.append(self._executing[0][0])
-        if self._ready_heap:
-            events.append(self._ready_heap[0][0])
-        if self._arm_pending is not None:
-            events.append(self._arm_pending[1])
-        if self._redirect_at is not None:
-            events.append(self._redirect_at)
-        return min(events) if events else None
+    def _ff_region_target(self, budget):
+        """Inside a pre-scheduled pipelined region the finish cycle is
+        known and the sequential machinery is idle until then. No
+        deadline cap — regions feed the watchdog (see _ff_account)."""
+        if (self._pending_interrupt is not None or self._retry
+                or self._blocked_loads):
+            return None
+        target = min(self._simt_until, budget)
+        return target if target > self.cycle else None
 
-    def ff_target(self, budget):
-        """The cycle to jump to, or None when skipping is not possible.
-
-        Caps at the budget and at ``watchdog.deadline() - 1`` so budget
-        exhaustion and SimulationHang occur at the identical simulated
-        cycle as ticked execution (the step at deadline-1 runs normally
-        and its check raises with cycle == deadline). The event bound
-        is computed *before* the quiescence analysis: most attempts die
-        on the cheap FF_MIN_SPAN pre-filter without paying for the deep
-        checks (purging first only pushes heap heads later, so the
-        bound never rejects a span the purged state would allow)."""
-        now = self.cycle
-        if self._simt_until is not None:
-            if (self._pending_interrupt is not None or self._retry
-                    or self._blocked_loads):
-                return None
-            # Pre-scheduled pipelined region: finish cycle is known and
-            # the sequential machinery is idle until then. No deadline
-            # cap — regions feed the watchdog (see ff_skip_to).
-            target = min(self._simt_until, budget)
-            return target if target > now else None
-        self._ff_purge_heaps()
+    def _ff_events(self):
+        """Cycles of the scheduled events that can wake the ring."""
         events = []
         if self._executing:
             events.append(self._executing[0][0])
@@ -354,28 +243,15 @@ class RingEngine:
             events.append(self._arm_pending[1])
         if self._redirect_at is not None:
             events.append(self._redirect_at)
-        target = min(events) if events else budget
-        if target > budget:
-            target = budget
-        deadline = self.watchdog.deadline()
-        if deadline is not None and target > deadline - 1:
-            target = deadline - 1
-        if target - now < self.FF_MIN_SPAN:
-            return None
-        if not self.quiescent():
-            return None
-        return target
+        return events
 
-    def ff_skip_to(self, target):
-        """Jump the clock to ``target``, batch-accounting the span."""
-        span = target - self.cycle
-        if span <= 0:
-            return
+    def _ff_account(self, span):
+        """Credit ``span`` skipped cycles exactly as ticking would."""
         if self._simt_until is not None:
             # Ticked execution marks every region cycle as progressing;
             # replay that on the watchdog in one call. No stall
             # accounting inside a region (step() skips it).
-            self.watchdog.feed(target, self.stats.retired)
+            self.watchdog.feed(self.cycle + span, self.stats.retired)
         else:
             reason = self._classify_stall()
             if reason is not None:
@@ -393,10 +269,6 @@ class RingEngine:
         self.stats.pe_active_cycles += executing * span
         self.stats.fpu_active_cycles += fp * span
         self.stats.resident_cluster_cycles += self._resident_count * span
-        self.ff_skips += 1
-        self.ff_skipped_cycles += span
-        self.cycle = target
-        self.stats.cycles = target
 
     def _ff_arm_spin(self):
         """Classify the _begin_arm attempt the next step would make.

@@ -9,7 +9,7 @@ instructions that are subsequently stalled").
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class StallReason(enum.Enum):
@@ -18,8 +18,47 @@ class StallReason(enum.Enum):
     STRUCTURAL = "other"    # bus busy, no free cluster, shared FU
 
 
+class CoreStats:
+    """Behaviour shared by both engines' stats dataclasses: the stall
+    taxonomy and the field-driven merge across rings or cores."""
+
+    def stall(self, reason, cycles=1):
+        self.stall_cycles[reason] = self.stall_cycles.get(reason, 0) + cycles
+
+    @property
+    def total_stalls(self):
+        return sum(self.stall_cycles.values())
+
+    @property
+    def ipc(self):
+        return self.retired / self.cycles if self.cycles else 0.0
+
+    def stall_fractions(self):
+        """{reason: fraction of all stall cycles}; empty dict if none."""
+        total = self.total_stalls
+        if not total:
+            return {}
+        return {reason: count / total
+                for reason, count in self.stall_cycles.items()}
+
+    def merge(self, other):
+        """Accumulate another unit's counters into this one: counters
+        add, ``cycles`` takes the max (units run in lockstep) and the
+        stall taxonomy adds reason by reason."""
+        for f in fields(self):
+            name = f.name
+            value = getattr(other, name)
+            if name == "cycles":
+                self.cycles = max(self.cycles, value)
+            elif name == "stall_cycles":
+                for reason, count in value.items():
+                    self.stall(reason, count)
+            else:
+                setattr(self, name, getattr(self, name) + value)
+
+
 @dataclass
-class RingStats:
+class RingStats(CoreStats):
     """Counters for one dataflow ring."""
 
     cycles: int = 0
@@ -44,46 +83,3 @@ class RingStats:
     pe_active_cycles: int = 0     # PE executing (any op)
     fpu_active_cycles: int = 0    # PE executing an FP op
     resident_cluster_cycles: int = 0  # clusters powered (lanes + ctrl)
-
-    def stall(self, reason, cycles=1):
-        self.stall_cycles[reason] = self.stall_cycles.get(reason, 0) + cycles
-
-    @property
-    def total_stalls(self):
-        return sum(self.stall_cycles.values())
-
-    @property
-    def ipc(self):
-        return self.retired / self.cycles if self.cycles else 0.0
-
-    def stall_fractions(self):
-        """{reason: fraction of all stall cycles}; empty dict if none."""
-        total = self.total_stalls
-        if not total:
-            return {}
-        return {reason: count / total
-                for reason, count in self.stall_cycles.items()}
-
-    def merge(self, other):
-        """Accumulate another ring's counters into this one (cycles=max)."""
-        self.cycles = max(self.cycles, other.cycles)
-        self.retired += other.retired
-        self.disabled_slots += other.disabled_slots
-        self.squashed += other.squashed
-        self.lines_fetched += other.lines_fetched
-        self.reuse_hits += other.reuse_hits
-        self.reuse_misses += other.reuse_misses
-        self.branches += other.branches
-        self.taken_branches += other.taken_branches
-        self.mispredicts += other.mispredicts
-        self.simt_regions += other.simt_regions
-        self.simt_threads += other.simt_threads
-        self.simt_insts += other.simt_insts
-        self.loads += other.loads
-        self.stores += other.stores
-        self.store_forwards += other.store_forwards
-        self.pe_active_cycles += other.pe_active_cycles
-        self.fpu_active_cycles += other.fpu_active_cycles
-        self.resident_cluster_cycles += other.resident_cluster_cycles
-        for reason, count in other.stall_cycles.items():
-            self.stall(reason, count)

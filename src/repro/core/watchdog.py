@@ -45,7 +45,7 @@ class SimulationHang(RuntimeError):
 class ProgressWatchdog:
     """No-retirement progress counter shared by both engines.
 
-    ``check`` is called once per cycle from the engines' run loops (not
+    ``check`` is called once per cycle by ``repro.core.clock.drive`` (not
     from ``step``, so manual single-steppers are never interrupted).
     ``marker`` is any value that changes when the engine makes forward
     progress — both engines pass their retired-instruction count.

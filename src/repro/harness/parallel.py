@@ -162,20 +162,42 @@ def _backoff(failures):
     return delay * (0.5 + random.random() / 2)
 
 
+#: seconds between a pool worker's checks that its parent is alive
+ORPHAN_POLL = 0.5
+
+
+def _exit_with_parent(parent):
+    """Pool worker initializer: end this worker once ``parent`` (the
+    process that built the pool) is gone. An idle worker blocks on the
+    call queue forever, so a SIGKILLed parent — which runs no shutdown
+    — would otherwise leave it orphaned. A daemon thread polls
+    ``os.getppid()``, which changes when the worker is reparented."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(ORPHAN_POLL)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="orphan-watch",
+                     daemon=True).start()
+
+
 def _pool(max_workers):
     """Prefer fork where the platform offers it (no re-import cost per
     worker; both engines are deterministic so inherited state is just
-    a warm cache), fall back to the platform default otherwise."""
+    a warm cache), fall back to the platform default otherwise. Every
+    worker exits when the pool's parent dies (:func:`_exit_with_parent`)."""
     import multiprocessing
 
+    kwargs = {"max_workers": max_workers,
+              "initializer": _exit_with_parent,
+              "initargs": (os.getpid(),)}
     try:
         if "fork" in multiprocessing.get_all_start_methods():
             return ProcessPoolExecutor(
-                max_workers=max_workers,
-                mp_context=multiprocessing.get_context("fork"))
+                mp_context=multiprocessing.get_context("fork"), **kwargs)
     except (ValueError, OSError):
         pass
-    return ProcessPoolExecutor(max_workers=max_workers)
+    return ProcessPoolExecutor(**kwargs)
 
 
 def _abandon(pool):

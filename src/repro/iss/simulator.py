@@ -24,6 +24,7 @@ Two execution paths share one set of semantics (docs/PERFORMANCE.md
 import enum
 from dataclasses import dataclass, field
 
+from repro.checkpoint import Checkpointable
 from repro.isa.instructions import MNEMONICS
 from repro.iss.semantics import compute, finish_load
 from repro.memory.main_memory import MainMemory
@@ -79,7 +80,7 @@ class ISSStats:
                 for slot, count in enumerate(self.mn_counts) if count}
 
 
-class ISS:
+class ISS(Checkpointable):
     """Functional simulator. Construct, then :meth:`run`."""
 
     STACK_TOP = 0x7FFFF0
@@ -277,22 +278,6 @@ class ISS:
         block = compile_block(self, pc, self.warm_trace)
         self._sb_cache[pc] = block
         return block
-
-    # ----------------------------------------------------- checkpointing
-
-    def save_state(self, meta=None):
-        """Snapshot the full ISS (pc, x/f files, CSRs, memory image,
-        stats, SIMT stack) into a :class:`repro.checkpoint.Checkpoint`.
-        ``run(max_steps)`` compares against the absolute instruction
-        count, so a restored ISS continues exactly where it stopped;
-        the ``trace`` hook detaches and restores as None."""
-        from repro import checkpoint
-        return checkpoint.save_state(self, meta=meta)
-
-    @classmethod
-    def restore_state(cls, ckpt):
-        from repro import checkpoint
-        return checkpoint.restore_state(ckpt, expect=cls.__name__)
 
     def post_interrupt(self, vector):
         """Request an asynchronous interrupt (paper Section 5.1.4).

@@ -16,8 +16,8 @@ block instead of once per instruction.
 Generated factories are cached *per Program* keyed by (pc, warm-mode)
 — the source depends only on the instruction bytes — while each ISS
 instance binds its own register files/memory/stats through the
-factory call, so fault campaigns and batched lanes re-running one
-program never recompile.
+factory call, so fault campaigns re-running one program never
+recompile.
 
 Exactness rules (enforced by tests/test_iss_superblock.py):
 

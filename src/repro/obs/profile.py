@@ -72,7 +72,7 @@ def export_iss_throughput(registry, instructions, seconds):
     """Register the functional fast-path gauges under ``iss.host``.
 
     Instructions executed by the ISS (fast-forward legs, sampling
-    warmup) never appear in ``sim.host.*``, so the batched/superblock
+    warmup) never appear in ``sim.host.*``, so the superblock
     engine gets its own namespace. Like ``sim.host.*`` it is stripped
     from the deterministic view — wall-clock never affects results."""
     registry.set("iss.host.run_seconds", seconds,

@@ -117,25 +117,26 @@ class TortureOutcome:
 
 @dataclass
 class PrescreenReport:
-    """Batched-ISS functional prescreen of a campaign's programs.
+    """Functional ISS prescreen of a campaign's programs.
 
-    Every distinct (program seed, simt) program runs to completion as
-    one :class:`repro.iss.batched.BatchedISS` lane before the lockstep
-    matrix launches, so assembler errors and non-terminating programs
-    surface in milliseconds instead of occupying a pool worker — and
-    the batch doubles as the campaign's ISS throughput probe
-    (``iss.host.kips``). Purely additive: cell outcomes and the
-    journaled report are untouched."""
+    Every distinct (program seed, simt) program runs to completion on
+    the superblock ISS before the lockstep matrix launches, so
+    assembler errors and non-terminating programs surface in
+    milliseconds instead of occupying a pool worker — and the prescreen
+    doubles as the campaign's ISS throughput probe (``iss.host.kips``).
+    Purely additive: cell outcomes and the journaled report are
+    untouched."""
 
     programs: int = 0
     instructions: int = 0
     seconds: float = 0.0
-    #: (index, simt, status) for lanes that did not reach ebreak/ecall
+    #: (index, simt, status) for programs that did not reach
+    #: ebreak/ecall
     anomalies: list = field(default_factory=list)
 
     @property
     def kips(self):
-        """Aggregate batch throughput in kilo-instructions/second."""
+        """Aggregate throughput in kilo-instructions/second."""
         if self.seconds <= 0:
             return 0.0
         return self.instructions / self.seconds / 1000.0
@@ -143,14 +144,14 @@ class PrescreenReport:
 
 def prescreen_programs(seed, count, simt_modes=(False, True), ops=40,
                        max_steps=2_000_000):
-    """Run the campaign's program set through one batched ISS.
+    """Run the campaign's program set through the ISS, one program at
+    a time.
 
     Returns a :class:`PrescreenReport`; deterministic except for the
     wall-clock fields, which never reach stdout or the journal."""
-    from repro.iss.batched import BatchedISS
     from repro.iss.simulator import ISS, HaltReason
 
-    lanes, labels, anomalies = [], [], []
+    programs, anomalies = [], []
     for index in range(count):
         for simt in simt_modes:
             spec_seed = seed * SEED_STRIDE + index
@@ -160,19 +161,18 @@ def prescreen_programs(seed, count, simt_modes=(False, True), ops=40,
             except Exception as exc:
                 anomalies.append((index, simt, f"asm-error: {exc}"))
                 continue
-            lanes.append(ISS(assembled))
-            labels.append((index, simt))
-    batch = BatchedISS(lanes=lanes)
+            programs.append((index, simt, ISS(assembled)))
+    instructions = 0
     start = time.perf_counter()
-    reasons = batch.run(max_steps=max_steps)
-    elapsed = time.perf_counter() - start
-    for (index, simt), reason in zip(labels, reasons):
+    for index, simt, iss in programs:
+        reason = iss.run(max_steps=max_steps)
+        instructions += iss.stats.instructions
         if reason not in (HaltReason.EBREAK, HaltReason.ECALL):
             anomalies.append((index, simt, f"no-halt: {reason}"))
+    elapsed = time.perf_counter() - start
     return PrescreenReport(
-        programs=len(lanes) + len(anomalies),
-        instructions=int(batch.instructions.sum()),
-        seconds=elapsed, anomalies=anomalies)
+        programs=len(programs) + len(anomalies),
+        instructions=instructions, seconds=elapsed, anomalies=anomalies)
 
 
 @dataclass
@@ -180,7 +180,7 @@ class TortureReport:
     """Aggregate of one campaign."""
 
     outcomes: list = field(default_factory=list)
-    #: batched-ISS prescreen (None when disabled); excluded from
+    #: ISS prescreen (None when disabled); excluded from
     #: summary() so journaled resume stays byte-identical
     prescreen: PrescreenReport = None
 
@@ -235,7 +235,7 @@ def run_torture(seed, count, machines=MACHINE_NAMES,
     reports byte-identically (docs/RESILIENCE.md). ``progress`` (a
     :class:`repro.obs.progress.ProgressRenderer`) renders the matrix
     live from the telemetry stream. ``prescreen`` runs every program
-    through one batched ISS first (see :func:`prescreen_programs`)."""
+    through the ISS first (see :func:`prescreen_programs`)."""
     from repro.harness.parallel import run_specs
     from repro.obs import telemetry
 

@@ -40,6 +40,7 @@ import dataclasses
 from collections import deque
 
 from repro import machines
+from repro.checkpoint import Checkpointable
 from repro.iss.simulator import ISS, SimError
 
 MASK32 = 0xFFFFFFFF
@@ -136,16 +137,20 @@ class LockstepResult:
 
 
 class _StoreRecorder:
-    """Shadows ``memory.store`` (instance attribute) to log writes."""
+    """Shadows ``memory.store`` (instance attribute) to log writes.
+
+    Keeps the memory, not its bound ``store``: pickle rebuilds a bound
+    method as ``getattr(memory, "store")``, which on restore may
+    already resolve to this shadow and then recurse forever."""
 
     def __init__(self, memory):
         self.writes = []
-        self._inner = memory.store
+        self.memory = memory
         memory.store = self._record
 
     def _record(self, addr, value, size):
         self.writes.append((addr, value & ((1 << (8 * size)) - 1), size))
-        self._inner(addr, value, size)
+        type(self.memory).store(self.memory, addr, value, size)
 
 
 class _Oracle:
@@ -262,7 +267,7 @@ class _Oracle:
             iss_x=self.iss.x, iss_f=self.iss.f, history=self.history)
 
 
-class LockstepSession:
+class LockstepSession(Checkpointable):
     """A lockstep run as one picklable, *checkpointable* object graph.
 
     Bundles the timing engine, the private ISS, both store recorders
@@ -274,6 +279,11 @@ class LockstepSession:
     just for stats (docs/RESILIENCE.md). :func:`run_lockstep` is the
     one-shot wrapper.
     """
+
+    #: unlike a bare engine snapshot, the commit hook here is the
+    #: oracle itself (plain picklable state), and it must travel with
+    #: the graph so the restored segment stays under lockstep
+    hooks = ()
 
     def __init__(self, program, machine="diag", config="F4C2",
                  fast_forward=True, setup=None, fault_spec=None,
@@ -329,23 +339,6 @@ class LockstepSession:
             cycles=getattr(result, "cycles", engine.cycle),
             halted=halted, halt_reason=str(halt_reason),
             writes=len(self.engine_rec.writes))
-
-    # ----------------------------------------------------- checkpointing
-
-    def save_state(self, meta=None):
-        """Snapshot the *whole co-simulation* — engine, ISS, oracle,
-        recorders — in one checkpoint. ``hooks=()``: unlike a bare
-        engine snapshot, the commit hook here is the oracle itself
-        (plain picklable state), and it must travel with the graph so
-        the restored segment stays under lockstep."""
-        from repro import checkpoint
-        return checkpoint.save_state(self, hooks=(), meta=meta)
-
-    @classmethod
-    def restore_state(cls, ckpt):
-        from repro import checkpoint
-        session = checkpoint.restore_state(ckpt, expect=cls.__name__)
-        return session
 
 
 def run_lockstep(program, machine="diag", config="F4C2", max_cycles=None,

@@ -1,5 +1,7 @@
 """Multicore baseline: SPMD partitioning, shared L2, power model."""
 
+import dataclasses
+
 import pytest
 
 from repro.asm import assemble
@@ -10,6 +12,7 @@ from repro.baseline import (
     run_multicore,
     run_ooo,
 )
+from repro.baseline.ooo import OoOStats
 
 SPMD = """
 main:
@@ -64,6 +67,23 @@ class TestMulticore:
         assert result.stats.retired \
             == sum(s.retired for s in result.core_stats)
         assert result.instructions == result.stats.retired
+
+    def test_merged_stats_cover_every_field(self):
+        """Counters add, cycles take the max, stall reasons add."""
+        result = run_multicore(assemble(SPMD), 4)
+        for f in dataclasses.fields(OoOStats):
+            values = [getattr(s, f.name) for s in result.core_stats]
+            if f.name == "cycles":
+                expect = max(values)
+            elif f.name == "stall_cycles":
+                expect = {}
+                for stalls in values:
+                    for reason, count in stalls.items():
+                        expect[reason] = expect.get(reason, 0) + count
+                assert expect
+            else:
+                expect = sum(values)
+            assert getattr(result.stats, f.name) == expect, f.name
 
     def test_private_stacks(self):
         cpu = MulticoreCPU(OoOConfig(), assemble(SPMD), 3)

@@ -2,6 +2,7 @@
 
 from repro.asm import assemble
 from repro.core import DiAGProcessor, F4C16, F4C2, run_program
+from repro.core.lanes import ArchLanes
 from repro.iss import ISS
 
 SPMD = """
@@ -36,7 +37,7 @@ class TestMultiRing:
         stacks = [ring.arch.x[2] for ring in proc.rings]
         assert len(set(stacks)) == 3
         assert stacks[0] - stacks[1] \
-            == DiAGProcessor.STACK_BYTES_PER_THREAD
+            == ArchLanes.STACK_BYTES_PER_THREAD
 
     def test_thread_regs_override(self):
         program = assemble("""

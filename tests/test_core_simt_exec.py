@@ -2,7 +2,9 @@
 
 from repro.asm import assemble
 from repro.core import DiAGProcessor, F4C2, F4C16, F4C32
+from repro.core.ring import RingEngine
 from repro.iss import ISS
+from repro.memory.hierarchy import MemoryHierarchy
 
 
 def simt_program(n, body, setup="", data=".space 1024"):
@@ -213,3 +215,36 @@ class TestFallback:
         result = proc.run()
         assert result.halted
         assert proc.memory.read_word(program.symbol("out")) == 777
+
+
+class TestRetiredBudgetPause:
+    """``RingEngine.run(max_retired=)`` (sampling windows) never pauses
+    inside a pipelined region: the region's instructions are credited
+    when it starts while its cycles elapse until it ends."""
+
+    def _ring(self, program):
+        hierarchy = MemoryHierarchy(F4C16.hierarchy_config())
+        program.load_into(hierarchy.memory)
+        return RingEngine(F4C16, hierarchy, program)
+
+    def test_budget_inside_region_pauses_after_it(self):
+        program = assemble(simt_program(32, SQUARES))
+        probe = self._ring(program)
+        while not probe.in_region():
+            before = probe.stats.retired
+            probe.step()
+        region_end = probe._simt_until
+
+        ring = self._ring(program)
+        ring.run(max_retired=before + 1)
+        assert not ring.in_region() and not ring.halted
+        assert ring.cycle >= region_end
+        assert ring.stats.retired == probe.stats.retired
+
+        # the pause is resumable and costs nothing
+        ring.run()
+        whole = self._ring(program)
+        whole.run()
+        assert ring.halted and whole.halted
+        assert (ring.cycle, ring.stats.retired) \
+            == (whole.cycle, whole.stats.retired)

@@ -10,6 +10,11 @@ without changing any result.
 
 import ast
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -217,6 +222,55 @@ class TestDegradation:
         monkeypatch.setattr(parallel, "_pool", lambda n: pytest.fail(
             "prewarm forked with no disk cache active"))
         assert parallel.prewarm(EQUIV_SPECS, jobs=4) == 0
+
+    def test_workers_exit_when_parent_is_killed(self):
+        """A SIGKILLed parent runs no shutdown; its idle workers, blocked
+        on the call queue, must still end on their own."""
+        child = subprocess.Popen(
+            [sys.executable, "-c", ORPHAN_CHILD],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        try:
+            workers = [int(pid) for pid in child.stdout.readline().split()]
+        finally:
+            child.kill()
+            child.wait()
+        assert len(workers) == 2
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if _alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, f"orphaned pool workers: {survivors}"
+
+
+#: builds a 2-worker pool, starts both workers, prints their pids and
+#: blocks until killed
+ORPHAN_CHILD = """
+import sys
+from repro.harness import parallel
+pool = parallel._pool(2)
+list(pool.map(abs, range(8)))
+print(" ".join(map(str, pool._processes)), flush=True)
+sys.stdin.read()
+"""
+
+
+def _alive(pid):
+    """True while ``pid`` runs (a zombie waiting to be reaped by
+    whichever process adopted it counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
 
 
 class TestParallelCLI:

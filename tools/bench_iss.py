@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """CI ISS bench: functional fast-path throughput (docs/PERFORMANCE.md).
 
-Measures four variants of the functional simulator on a store/load/
-branch hot kernel plus a batched torture prescreen, and merges an
+Measures three variants of the functional simulator on a store/load/
+branch hot kernel plus the torture prescreen, and merges an
 ``iss`` section into ``BENCH_verify.json`` (bench-trend tracks
 ``iss.kips``):
 
@@ -13,8 +13,7 @@ branch hot kernel plus a batched torture prescreen, and merges an
   dispatch, slot counters);
 * ``kips``          — the superblock path (``ISS.run``), the headline
   number and the gated one;
-* ``batched``       — ``BatchedISS`` lanes of the same kernel, plus
-  the torture prescreen in programs/sec.
+* ``prescreen``     — the torture prescreen in programs/sec.
 
 ``--min-speedup N`` turns the superblock-vs-legacy ratio into a gate;
 CI runs with ``--min-speedup 5``. Every run is also a correctness
@@ -36,7 +35,7 @@ sys.path.insert(
                     os.pardir, "src"))
 
 from repro.asm import assemble  # noqa: E402
-from repro.iss import ISS, BatchedISS  # noqa: E402
+from repro.iss import ISS  # noqa: E402
 from repro.iss.semantics import compute, finish_load  # noqa: E402
 from repro.iss.simulator import MASK32, HaltReason, SimError  # noqa: E402
 
@@ -60,7 +59,6 @@ loop:
 
 TORTURE_SEED = 0
 TORTURE_COUNT = 24
-BATCH_LANES = 8
 
 
 class LegacyISS(ISS):
@@ -239,23 +237,7 @@ def main(argv=None):
             f"instruction counts diverge: legacy={retired} "
             f"step={step_retired} superblock={sb_retired}")
 
-    # batched: N independent lanes of the same kernel in one process
-    best_batched = 0.0
-    for _ in range(args.reps):
-        lanes = [ISS(_kernel(args.iters)) for _ in range(BATCH_LANES)]
-        batch = BatchedISS(lanes=lanes)
-        start = time.perf_counter()
-        reasons = batch.run(max_steps=max_steps)
-        seconds = time.perf_counter() - start
-        if any(r is not HaltReason.EBREAK for r in reasons):
-            failures.append(f"batched lanes did not halt: {reasons}")
-            break
-        total = int(batch.instructions.sum())
-        if seconds > 0:
-            best_batched = max(best_batched,
-                               total / seconds / 1000.0)
-
-    # torture prescreen: whole campaign program set, one batch
+    # torture prescreen: the whole campaign program set
     from repro.verify.campaign import prescreen_programs
     pre = prescreen_programs(TORTURE_SEED, TORTURE_COUNT)
     if pre.anomalies:
@@ -266,8 +248,7 @@ def main(argv=None):
     speedup = sb_kips / legacy_kips if legacy_kips > 0 else 0.0
     print(f"iss: legacy {legacy_kips:.0f} KIPS, step "
           f"{step_kips:.0f} KIPS, superblock {sb_kips:.0f} KIPS "
-          f"({speedup:.2f}x), batched {best_batched:.0f} KIPS "
-          f"({BATCH_LANES} lanes)")
+          f"({speedup:.2f}x)")
     print(f"iss prescreen: {pre.programs} programs, "
           f"{pre.instructions} instructions, "
           f"{programs_per_sec:.1f} programs/s")
@@ -283,11 +264,9 @@ def main(argv=None):
         "step_kips": round(step_kips, 1),
         "kips": round(sb_kips, 1),
         "speedup": round(speedup, 2),
-        "batched": {
-            "lanes": BATCH_LANES,
-            "kips": round(best_batched, 1),
-            "prescreen_programs": pre.programs,
-            "prescreen_programs_per_sec": round(programs_per_sec, 1),
+        "prescreen": {
+            "programs": pre.programs,
+            "programs_per_sec": round(programs_per_sec, 1),
         },
     }
     doc = {}

@@ -8,6 +8,10 @@ Runs a fixed-seed torture campaign three ways:
    moment the write-ahead journal holds at least one completed cell;
 3. **resume**    — same command with ``--resume``, stdout captured.
 
+The SIGKILL must leave nothing behind: the chaos campaign runs in its
+own process group, and the smoke fails if any member of that group
+(an orphaned pool worker) is still alive a few seconds after the kill.
+
 The resumed stdout must be **byte-identical** to the reference — the
 crash-safety contract of docs/RESILIENCE.md §2 (resilience counters go
 to stderr precisely so they cannot perturb this comparison). The
@@ -48,6 +52,49 @@ def campaign_cmd(args, extra=()):
 def run(cmd):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+
+#: seconds the killed campaign's process group gets to empty
+ORPHAN_WAIT = 5.0
+
+
+def group_members(pgid):
+    """Pids of the live (non-zombie) processes in process group
+    ``pgid``; without ``/proc``, ``[pgid]`` while the group exists."""
+    if not os.path.isdir("/proc"):
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            members.append(int(entry))
+    return members
+
+
+def orphans_after_kill(pgid):
+    """Wait up to ORPHAN_WAIT for the group to empty; SIGKILL and
+    return whatever is still in it."""
+    deadline = time.monotonic() + ORPHAN_WAIT
+    members = group_members(pgid)
+    while members and time.monotonic() < deadline:
+        time.sleep(0.1)
+        members = group_members(pgid)
+    if members:
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    return members
 
 
 def journal_lines(path):
@@ -134,12 +181,13 @@ def main(argv=None):
     proc = subprocess.Popen(
         campaign_cmd(args, ("--journal", journal,
                             "--telemetry", chaos_telemetry)),
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+        start_new_session=True)
     deadline = time.monotonic() + 120
     while journal_lines(journal) < args.kill_after \
             and proc.poll() is None:
         if time.monotonic() > deadline:
-            proc.kill()
+            os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
             print("FAIL: journal never reached "
                   f"{args.kill_after} cells", file=sys.stderr)
@@ -155,6 +203,10 @@ def main(argv=None):
         # still validates replay, just without a real crash
         print("note: campaign finished before the kill "
               f"({killed_at} cells journaled)")
+    orphans = orphans_after_kill(proc.pid)
+    if orphans:
+        failures.append(f"{len(orphans)} campaign process(es) outlived "
+                        f"the SIGKILL by {ORPHAN_WAIT:.0f} s: {orphans}")
 
     # 3. resume and diff
     resumed = run(campaign_cmd(args, ("--journal", journal, "--resume",
