@@ -5,12 +5,12 @@ Paper shape: the same trend as Rodinia but shifted down (0.81x / 0.97x
 memory-bound or control-dependent ones (mcf, xz-style workloads).
 """
 
-from conftest import BENCH_SCALE, run_once
-from repro.harness import render_experiment, run_fig10a
+from repro.harness import render_experiment
+
+ARTEFACT = "fig10a"
 
 
-def test_fig10a_spec_single(benchmark):
-    result = run_once(benchmark, run_fig10a, scale=BENCH_SCALE)
+def test_fig10a_spec_single(result):
     print()
     print(render_experiment("fig10a", result))
 

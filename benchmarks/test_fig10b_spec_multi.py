@@ -5,12 +5,12 @@ pipelining lifts the average (1.15x); the multicore keeps its edge on
 the memory/control-bound members.
 """
 
-from conftest import BENCH_SCALE, run_once
-from repro.harness import render_experiment, run_fig10b
+from repro.harness import render_experiment
+
+ARTEFACT = "fig10b"
 
 
-def test_fig10b_spec_multi(benchmark):
-    result = run_once(benchmark, run_fig10b, scale=BENCH_SCALE)
+def test_fig10b_spec_multi(result):
     print()
     print(render_experiment("fig10b", result))
 

@@ -7,12 +7,12 @@ overhead; in graph-traversal workloads, memory and data movement
 leakage only).
 """
 
-from conftest import BENCH_SCALE, run_once
-from repro.harness import render_experiment, run_fig11
+from repro.harness import render_experiment
+
+ARTEFACT = "fig11"
 
 
-def test_fig11_energy_breakdown(benchmark):
-    result = run_once(benchmark, run_fig11, scale=BENCH_SCALE)
+def test_fig11_energy_breakdown(result):
     print()
     print(render_experiment("fig11", result))
 

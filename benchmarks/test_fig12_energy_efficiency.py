@@ -7,12 +7,12 @@ the best average in the pipelined configuration (1.51x / 1.35x /
 1.63x). Memory-bound benchmarks see the smallest gains.
 """
 
-from conftest import BENCH_SCALE, run_once
-from repro.harness import render_experiment, run_fig12
+from repro.harness import render_experiment
+
+ARTEFACT = "fig12"
 
 
-def test_fig12_energy_efficiency(benchmark):
-    result = run_once(benchmark, run_fig12, scale=BENCH_SCALE)
+def test_fig12_energy_efficiency(result):
     print()
     print(render_experiment("fig12", result))
 

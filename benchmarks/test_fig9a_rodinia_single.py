@@ -6,12 +6,12 @@ PEs reach rough parity or better, with *no further gain from 256 to
 (bfs) stay below the baseline.
 """
 
-from conftest import BENCH_SCALE, run_once
-from repro.harness import render_experiment, run_fig9a
+from repro.harness import render_experiment
+
+ARTEFACT = "fig9a"
 
 
-def test_fig9a_rodinia_single(benchmark):
-    result = run_once(benchmark, run_fig9a, scale=BENCH_SCALE)
+def test_fig9a_rodinia_single(result):
     print()
     print(render_experiment("fig9a", result))
 

@@ -5,12 +5,12 @@ parity with the 12-core CPU (0.95x), and SIMT thread pipelining lifts
 the average above it (1.2x).
 """
 
-from conftest import BENCH_SCALE, run_once
-from repro.harness import render_experiment, run_fig9b
+from repro.harness import render_experiment
+
+ARTEFACT = "fig9b"
 
 
-def test_fig9b_rodinia_multi(benchmark):
-    result = run_once(benchmark, run_fig9b, scale=BENCH_SCALE)
+def test_fig9b_rodinia_multi(result):
     print()
     print(render_experiment("fig9b", result))
 

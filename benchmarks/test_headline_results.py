@@ -7,12 +7,12 @@ DiAG lands around performance parity with the aggressive multicore
 while clearly winning on energy efficiency.
 """
 
-from conftest import BENCH_SCALE, run_once
-from repro.harness import render_experiment, run_headline
+from repro.harness import render_experiment
+
+ARTEFACT = "headline"
 
 
-def test_headline_results(benchmark):
-    result = run_once(benchmark, run_headline, scale=BENCH_SCALE)
+def test_headline_results(result):
     print()
     print(render_experiment("headline", result))
 

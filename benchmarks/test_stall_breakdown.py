@@ -6,12 +6,12 @@ margin — is the shape assertion; exact proportions depend on cache
 footprints our reduced inputs cannot reproduce.
 """
 
-from conftest import BENCH_SCALE, run_once
-from repro.harness import render_experiment, run_stall_breakdown
+from repro.harness import render_experiment
+
+ARTEFACT = "stalls"
 
 
-def test_stall_breakdown(benchmark):
-    result = run_once(benchmark, run_stall_breakdown, scale=BENCH_SCALE)
+def test_stall_breakdown(result):
     print()
     print(render_experiment("stalls", result))
 

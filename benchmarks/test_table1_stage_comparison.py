@@ -5,12 +5,12 @@ reuse": with datapath reuse on, I-line fetches per instruction collapse
 by an order of magnitude.
 """
 
-from conftest import BENCH_SCALE, run_once
-from repro.harness import render_experiment, run_table1
+from repro.harness import render_experiment
+
+ARTEFACT = "table1"
 
 
-def test_table1_stage_comparison(benchmark):
-    result = run_once(benchmark, run_table1, scale=BENCH_SCALE)
+def test_table1_stage_comparison(result):
     print()
     print(render_experiment("table1", result))
 

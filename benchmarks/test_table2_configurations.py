@@ -1,11 +1,11 @@
 """Table 2 — the four DiAG hardware configurations."""
 
-from conftest import run_once
-from repro.harness import render_experiment, run_table2
+from repro.harness import render_experiment
+
+ARTEFACT = "table2"
 
 
-def test_table2_configurations(benchmark):
-    result = run_once(benchmark, run_table2)
+def test_table2_configurations(result):
     print()
     print(render_experiment("table2", result))
 

@@ -2,12 +2,12 @@
 
 import pytest
 
-from conftest import run_once
-from repro.harness import render_experiment, run_table3
+from repro.harness import render_experiment
+
+ARTEFACT = "table3"
 
 
-def test_table3_area_power(benchmark):
-    result = run_once(benchmark, run_table3)
+def test_table3_area_power(result):
     print()
     print(render_experiment("table3", result))
 

@@ -56,7 +56,7 @@ MAGIC = b"DIAGCKPT"
 #: may hold a closure or an open tracer. Restored simulators come back
 #: with these set to None; the caller re-attaches what it needs.
 HOOK_ATTRS = ("tracer", "commit_hook", "retire_hook", "fault_hook",
-              "trace", "_pipetracer")
+              "trace")
 
 
 class CheckpointError(RuntimeError):

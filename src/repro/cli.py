@@ -321,19 +321,10 @@ def _cmd_trace(args):
 
 
 def _cmd_experiment(args):
-    from repro import harness
+    from repro.harness import experiments, render_experiment
 
-    runner = getattr(harness, f"run_{args.id}", None)
-    if args.id == "stalls":
-        runner = harness.run_stall_breakdown
-    if runner is None:
-        print(f"unknown experiment '{args.id}'; one of: "
-              f"{', '.join(EXPERIMENTS)}", file=sys.stderr)
-        return 2
-    kwargs = {} if args.id in ("table2", "table3") \
-        else {"scale": args.scale}
-    result = runner(**kwargs)
-    print(harness.render_experiment(args.id, result))
+    result = experiments.run_suite([args.id], args.scale)[args.id]
+    print(render_experiment(args.id, result))
     return 0
 
 

@@ -91,14 +91,13 @@ class ClockedUnit:
     def ff_setup(self):
         """Decide once per run whether fast-forward may engage.
 
-        Per-cycle observers force skip-off: an event tracer or a
-        PipeTracer samples stepped state, a fault injector counts
-        value-production sites against its trigger, and a disabled
-        watchdog (window 0) leaves no deadline to cap skips against."""
+        Per-cycle observers force skip-off: an event tracer samples
+        stepped state, a fault injector counts value-production sites
+        against its trigger, and a disabled watchdog (window 0) leaves
+        no deadline to cap skips against."""
         return bool(self.config.fast_forward
                     and self.tracer is None
                     and self.fault_hook is None
-                    and getattr(self, "_pipetracer", None) is None
                     and self.watchdog.window > 0)
 
     def ff_target(self, budget):

@@ -1,11 +1,13 @@
 """Experiment harness reproducing the paper's tables and figures.
 
-Each ``run_*`` function in :mod:`repro.harness.experiments` regenerates
-one artefact (Table 1-3, Figures 9-12, the Section 7.3.2 stall
-breakdown, and the abstract's headline numbers) and returns a
-structured result that the benchmark suite asserts shape properties
-on. :mod:`repro.harness.report` renders them as text tables matching
-the paper's rows/series.
+Each artefact in :mod:`repro.harness.experiments` (Table 1-3, Figures
+9-12, the Section 7.3.2 stall breakdown, and the abstract's headline
+numbers) is a plan — the run cells it reads — and a pure fold of their
+records into the structured result the benchmark suite asserts shape
+properties on. ``run_suite`` runs the deduplicated union of several
+plans as one :func:`run_specs` campaign; each ``run_*`` function is
+the suite of its one artefact. :mod:`repro.harness.report` renders the
+results as text tables matching the paper's rows/series.
 """
 
 from repro.harness.runner import (

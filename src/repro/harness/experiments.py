@@ -1,16 +1,18 @@
-"""One function per paper artefact (tables, figures, headline numbers).
+"""One pure fold per paper artefact (tables, figures, headline numbers).
 
-All functions return plain dicts so the benchmark suite can assert the
-paper's qualitative shape and EXPERIMENTS.md can record paper-vs-
-measured values. ``scale`` shrinks problem sizes for quick runs (the
-paper itself projects from reduced inputs, Section 7.1).
-"""
+Each fold turns run records, looked up by spec, into the plain dict
+the benchmark suite asserts the paper's qualitative shape on; it never
+runs or mutates anything. :func:`run_suite` runs the union of several
+artefacts' plans as one ``run_specs`` campaign (docs/PARALLEL.md).
+``scale`` shrinks problem sizes (the paper projects from reduced
+inputs too, Section 7.1)."""
 
 import math
 
 from repro.core import CONFIG_PRESETS, EnergyModel
-from repro.harness.parallel import prewarm
-from repro.harness.runner import RunSpec, run_baseline, run_diag
+from repro.harness import parallel
+# run_diag/run_baseline: re-exported for perfbench's span probes only
+from repro.harness.runner import RunSpec, run_baseline, run_diag  # noqa: F401
 from repro.workloads import RODINIA_WORKLOADS, SPEC_WORKLOADS
 
 RODINIA = sorted(RODINIA_WORKLOADS)
@@ -32,6 +34,10 @@ SIMT_POINTS = ((16, 2), (8, 4))
 
 SINGLE_CONFIGS = ("F4C2", "F4C16", "F4C32")
 
+#: two compute-heavy + two memory/graph benchmarks (paper Figure 11
+#: shows four Rodinia benchmarks spanning that spectrum)
+FIG11_BENCHMARKS = ("nn", "kmeans", "srad", "bfs")
+
 
 def geomean(values):
     values = [v for v in values if v > 0]
@@ -40,21 +46,39 @@ def geomean(values):
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-# ===================================================================
-# Tables
-# ===================================================================
+def _cell(name, role, scale):
+    """The spec of a run cell several folds share, built only here.
+    ``role``: a DiAG preset, ``"base"``/``"base_mt"`` (the 1-core /
+    ``BASELINE_CORES``-core baseline), ``"mt"`` or ``"simt"`` (a tuple)."""
+    if role == "base":
+        return RunSpec.ooo(name, scale=scale)
+    if role == "base_mt":
+        return RunSpec.ooo(name, scale=scale, threads=BASELINE_CORES)
+    if role == "mt":
+        return RunSpec.diag(name, config="F4C32", scale=scale,
+                            threads=MT_THREADS,
+                            num_clusters=MT_CLUSTERS_PER_RING)
+    if role == "simt":
+        return tuple(RunSpec.diag(name, config="F4C32", scale=scale,
+                                  threads=threads, num_clusters=clusters,
+                                  simt=True)
+                     for threads, clusters in SIMT_POINTS)
+    return RunSpec.diag(name, config=role, scale=scale)
 
-def run_table1(scale=0.5):
+
+# --- Tables
+
+def _table1(records, scale):
     """Table 1 — per-instruction stage comparison, OoO vs DiAG.
 
     The structural rows are architectural facts; the measured evidence
     quantifies the 'Fetch/Decode: No under reuse' claim: I-line
     fetches per retired instruction with and without datapath reuse.
     """
-    with_reuse = run_diag("nn", config="F4C16", scale=scale)
-    without = run_diag("nn", config="F4C16", scale=scale,
-                       config_overrides={"enable_reuse": False,
-                                         "enable_simt": False})
+    with_reuse = records[_cell("nn", "F4C16", scale)]
+    without = records[RunSpec.diag(
+        "nn", config="F4C16", scale=scale,
+        config_overrides={"enable_reuse": False, "enable_simt": False})]
     rows = [
         # (stage, OoO, DiAG initial, DiAG reuse)
         ("Fetch", "Yes", "Yes (Batch)", "No"),
@@ -68,14 +92,13 @@ def run_table1(scale=0.5):
         ("Commit", "Reorder Buffer", "Reg Lanes", "Reg Lanes"),
     ]
     def fetch_rate(record):
-        if not record.instructions:
-            return 0.0
-        return record.extra["lines_fetched"] * 16 / record.instructions
+        return record.extra["lines_fetched"] * 16 / record.instructions \
+            if record.instructions else 0.0
     return {
         "rows": rows,
         "fetch_per_instr_with_reuse": fetch_rate(with_reuse),
         "fetch_per_instr_without_reuse": fetch_rate(without),
-        "reuse_hits": with_reuse.extra["reuse_hits"],
+        "reuse_hits": with_reuse.extra.get("reuse_hits", 0),
         "verified": with_reuse.verified and without.verified,
     }
 
@@ -117,9 +140,7 @@ def run_table3():
     }
 
 
-# ===================================================================
-# Figures 9 and 10 — performance
-# ===================================================================
+# --- Figures 9 and 10 — performance
 
 def _note_failure(result, name, record):
     """Record a failed cell in the experiment's skip report."""
@@ -130,31 +151,22 @@ def _note_failure(result, name, record):
              "error": record.error})
 
 
-def _single_thread_suite(benchmarks, scale):
-    """Per-benchmark speedup of each DiAG config vs the 1-core OoO.
+def _single_thread(benchmarks, records, scale, paper_average):
+    """Figures 9a/10a — speedup of each DiAG config vs the 1-core OoO.
 
     Failed cells (engine error / hang / timeout) are skipped and
     reported under ``result["failures"]`` instead of aborting the
     sweep; averages are taken over the surviving cells.
-
-    With ``REPRO_JOBS`` > 1 and an active disk cache, every cell is
-    first warmed through the process pool (docs/PARALLEL.md); the
-    serial loop below then assembles the result from cache hits, so
-    the numbers are identical either way.
     """
-    prewarm([RunSpec.ooo(name, scale=scale) for name in benchmarks]
-            + [RunSpec.diag(name, config=config, scale=scale)
-               for name in benchmarks for config in SINGLE_CONFIGS])
     result = {"benchmarks": {}, "average": {}, "failures": []}
     for name in benchmarks:
-        base = run_baseline(name, scale=scale, threads=1)
+        base = records[_cell(name, "base", scale)]
         _note_failure(result, name, base)
         row = {"baseline_cycles": base.cycles,
                "baseline_verified": base.verified,
                "baseline_status": base.status}
         for config in SINGLE_CONFIGS:
-            diag = run_diag(name, config=config, scale=scale, threads=1,
-                            simt=False)
+            diag = records[_cell(name, config, scale)]
             _note_failure(result, name, diag)
             row[config] = {
                 "cycles": diag.cycles,
@@ -165,58 +177,36 @@ def _single_thread_suite(benchmarks, scale):
                 "status": diag.status,
             }
         result["benchmarks"][name] = row
-    for config in SINGLE_CONFIGS:
-        result["average"][config] = geomean(
-            [row[config]["speedup"]
-             for row in result["benchmarks"].values()])
+    rows = result["benchmarks"].values()
+    result["average"] = {config: geomean([r[config]["speedup"] for r in rows])
+                         for config in SINGLE_CONFIGS}
+    result["paper_average"] = dict(zip(SINGLE_CONFIGS, paper_average))
     return result
 
 
-def best_simt_record(name, scale):
+def best_simt_record(records, name, scale):
     """Best SIMT operating point for one benchmark (paper-style manual
-    region/configuration tuning, Section 7.2.1). The returned record
-    additionally notes whether *any* probed point ran pipelined regions
-    (``extra["regions_any_point"]``)."""
-    best = None
-    any_regions = 0
-    for threads, clusters in SIMT_POINTS:
-        record = run_diag(name, config="F4C32", scale=scale,
-                          threads=threads, num_clusters=clusters,
-                          simt=True)
-        any_regions = max(any_regions,
-                          record.extra.get("simt_regions", 0))
-        if best is None or best.failed \
-                or (record.cycles and not record.failed
-                    and record.cycles < best.cycles):
+    region/configuration tuning, Section 7.2.1): ``(record, regions)``
+    where ``regions`` is the most pipelined regions *any* probed point
+    ran. The first point wins ties; a failed best is replaced."""
+    points = [records[spec] for spec in _cell(name, "simt", scale)]
+    best = points[0]
+    for record in points[1:]:
+        if best.failed or (record.cycles and not record.failed
+                           and record.cycles < best.cycles):
             best = record
-    best.extra["regions_any_point"] = any_regions
-    return best
+    return best, max(r.extra.get("simt_regions", 0) for r in points)
 
 
-def _multi_thread_suite(benchmarks, scale):
-    """Multi-thread spatial + SIMT results vs the 12-core baseline.
-
-    Failed cells are skipped and reported under ``result["failures"]``
-    (see :func:`_single_thread_suite`, including the pool prewarm).
-    """
-    prewarm([RunSpec.ooo(name, scale=scale, threads=BASELINE_CORES)
-             for name in benchmarks]
-            + [RunSpec.diag(name, config="F4C32", scale=scale,
-                            threads=MT_THREADS,
-                            num_clusters=MT_CLUSTERS_PER_RING)
-               for name in benchmarks]
-            + [RunSpec.diag(name, config="F4C32", scale=scale,
-                            threads=threads, num_clusters=clusters,
-                            simt=True)
-               for name in benchmarks
-               for threads, clusters in SIMT_POINTS])
+def _multi_thread(benchmarks, records, scale, paper_average):
+    """Figures 9b/10b — spatial multi-thread + SIMT vs the 12-core
+    baseline; failed cells are skipped and reported as in
+    :func:`_single_thread`."""
     result = {"benchmarks": {}, "average": {}, "failures": []}
     for name in benchmarks:
-        base = run_baseline(name, scale=scale, threads=BASELINE_CORES)
-        diag_mt = run_diag(name, config="F4C32", scale=scale,
-                           threads=MT_THREADS,
-                           num_clusters=MT_CLUSTERS_PER_RING, simt=False)
-        diag_simt = best_simt_record(name, scale)
+        base = records[_cell(name, "base_mt", scale)]
+        diag_mt = records[_cell(name, "mt", scale)]
+        diag_simt, any_regions = best_simt_record(records, name, scale)
         for record in (base, diag_mt, diag_simt):
             _note_failure(result, name, record)
         simt_failed = base.failed or diag_simt.failed
@@ -237,70 +227,22 @@ def _multi_thread_suite(benchmarks, scale):
                      "status": diag_simt.status,
                      "threads": diag_simt.threads,
                      "regions": diag_simt.extra.get("simt_regions", 0),
-                     "regions_any_point":
-                         diag_simt.extra.get("regions_any_point", 0)},
+                     "regions_any_point": any_regions},
         }
     rows = result["benchmarks"].values()
-    result["average"]["mt"] = geomean([r["mt"]["speedup"] for r in rows])
-    result["average"]["simt"] = geomean(
-        [r["simt"]["speedup"] for r in rows])
+    result["average"] = {key: geomean([r[key]["speedup"] for r in rows])
+                         for key in ("mt", "simt")}
+    result["paper_average"] = paper_average
     return result
 
 
-def run_fig9a(scale=1.0):
-    """Figure 9a — Rodinia single-thread performance vs baseline.
+# --- Figure 11 — energy breakdown, Figure 12 — energy efficiency
 
-    Paper averages: 0.91x / 1.12x / 1.12x for 32 / 256 / 512 PEs.
-    """
-    result = _single_thread_suite(RODINIA, scale)
-    result["paper_average"] = {"F4C2": 0.91, "F4C16": 1.12, "F4C32": 1.12}
-    return result
-
-
-def run_fig9b(scale=1.0):
-    """Figure 9b — Rodinia multi-thread (+ SIMT) vs 12-core baseline.
-
-    Paper averages: 0.95x spatial-only, 1.2x with SIMT pipelining.
-    """
-    result = _multi_thread_suite(RODINIA, scale)
-    result["paper_average"] = {"mt": 0.95, "simt": 1.2}
-    return result
-
-
-def run_fig10a(scale=1.0):
-    """Figure 10a — SPEC single-thread performance vs baseline.
-
-    Paper averages: 0.81x / 0.97x / 0.97x for 32 / 256 / 512 PEs.
-    """
-    result = _single_thread_suite(SPEC, scale)
-    result["paper_average"] = {"F4C2": 0.81, "F4C16": 0.97, "F4C32": 0.97}
-    return result
-
-
-def run_fig10b(scale=1.0):
-    """Figure 10b — SPEC multi-thread (+ SIMT) vs 12-core baseline.
-
-    Paper averages: 0.97x spatial-only, 1.15x with SIMT pipelining.
-    """
-    result = _multi_thread_suite(SPEC, scale)
-    result["paper_average"] = {"mt": 0.97, "simt": 1.15}
-    return result
-
-
-# ===================================================================
-# Figure 11 — energy breakdown, Figure 12 — energy efficiency
-# ===================================================================
-
-#: two compute-heavy + two memory/graph benchmarks (paper Figure 11
-#: shows four Rodinia benchmarks spanning that spectrum)
-FIG11_BENCHMARKS = ("nn", "kmeans", "srad", "bfs")
-
-
-def run_fig11(scale=1.0):
+def _fig11(records, scale):
     """Figure 11 — DiAG energy % by component on four benchmarks."""
     result = {"benchmarks": {}}
     for name in FIG11_BENCHMARKS:
-        record = run_diag(name, config="F4C32", scale=scale)
+        record = records[_cell(name, "F4C32", scale)]
         result["benchmarks"][name] = {
             "breakdown": record.energy_breakdown,
             "category": (RODINIA_WORKLOADS.get(name)
@@ -310,7 +252,7 @@ def run_fig11(scale=1.0):
     return result
 
 
-def run_fig12(scale=1.0):
+def _fig12(records, scale):
     """Figure 12 — Rodinia energy-efficiency improvement vs baseline.
 
     Efficiency = 1 / total energy (Section 7.4). Paper averages:
@@ -318,13 +260,11 @@ def run_fig12(scale=1.0):
     """
     result = {"benchmarks": {}, "average": {}}
     for name in RODINIA:
-        base1 = run_baseline(name, scale=scale, threads=1)
-        basen = run_baseline(name, scale=scale, threads=BASELINE_CORES)
-        diag1 = run_diag(name, config="F4C32", scale=scale, threads=1)
-        diag_mt = run_diag(name, config="F4C32", scale=scale,
-                           threads=MT_THREADS,
-                           num_clusters=MT_CLUSTERS_PER_RING)
-        diag_simt = best_simt_record(name, scale)
+        base1 = records[_cell(name, "base", scale)]
+        basen = records[_cell(name, "base_mt", scale)]
+        diag1 = records[_cell(name, "F4C32", scale)]
+        diag_mt = records[_cell(name, "mt", scale)]
+        diag_simt, _ = best_simt_record(records, name, scale)
         result["benchmarks"][name] = {
             "single": base1.energy_j / diag1.energy_j
             if diag1.energy_j else 0,
@@ -334,35 +274,28 @@ def run_fig12(scale=1.0):
             if diag_simt.energy_j else 0,
         }
     rows = result["benchmarks"].values()
-    for key in ("single", "multi", "simt"):
-        result["average"][key] = geomean([r[key] for r in rows])
-    result["paper_average"] = {"single": 1.51, "multi": 1.35,
-                               "simt": 1.63}
+    result["average"] = {key: geomean([r[key] for r in rows])
+                         for key in ("single", "multi", "simt")}
+    result["paper_average"] = {"single": 1.51, "multi": 1.35, "simt": 1.63}
     return result
 
 
-# ===================================================================
-# Section 7.3.2 — stall breakdown, and the abstract's headline
-# ===================================================================
+# --- Section 7.3.2 — stall breakdown, and the abstract's headline
 
-def run_stall_breakdown(scale=1.0):
+def _stalls(records, scale):
     """Section 7.3.2 — stall sources averaged over Rodinia on F4C32.
 
     Paper: 73.6% memory, 21.1% control, 5.3% other.
     """
-    totals = {"memory": 0.0, "control": 0.0, "other": 0.0}
-    count = 0
     per_benchmark = {}
     for name in RODINIA:
-        record = run_diag(name, config="F4C32", scale=scale)
-        fractions = record.stall_fractions
-        if not fractions:
-            continue
-        per_benchmark[name] = fractions
-        for key in totals:
-            totals[key] += fractions.get(key, 0.0)
-        count += 1
-    average = {k: v / count for k, v in totals.items()} if count else {}
+        fractions = records[_cell(name, "F4C32", scale)].stall_fractions
+        if fractions:
+            per_benchmark[name] = fractions
+    average = {key: sum(f.get(key, 0.0) for f in per_benchmark.values())
+               / len(per_benchmark)
+               for key in ("memory", "control", "other")} \
+        if per_benchmark else {}
     return {
         "average": average,
         "per_benchmark": per_benchmark,
@@ -370,27 +303,92 @@ def run_stall_breakdown(scale=1.0):
     }
 
 
-def run_headline(scale=1.0):
+def _headline(records, scale):
     """Abstract — DiAG (512 PEs): 1.18x speedup, 1.63x energy eff.
 
     The headline numbers are the best DiAG operating point (SIMT
     multi-thread where applicable) against the multicore baseline,
     averaged over both suites.
     """
-    speedups = []
-    efficiencies = []
     per_benchmark = {}
     for name in RODINIA + SPEC:
-        base = run_baseline(name, scale=scale, threads=BASELINE_CORES)
-        diag = best_simt_record(name, scale)
-        speedup = base.cycles / diag.cycles if diag.cycles else 0
-        eff = base.energy_j / diag.energy_j if diag.energy_j else 0
-        per_benchmark[name] = {"speedup": speedup, "efficiency": eff}
-        speedups.append(speedup)
-        efficiencies.append(eff)
+        base = records[_cell(name, "base_mt", scale)]
+        diag, _ = best_simt_record(records, name, scale)
+        per_benchmark[name] = {
+            "speedup": base.cycles / diag.cycles if diag.cycles else 0,
+            "efficiency": base.energy_j / diag.energy_j
+            if diag.energy_j else 0}
+    rows = per_benchmark.values()
     return {
-        "speedup": geomean(speedups),
-        "efficiency": geomean(efficiencies),
+        "speedup": geomean([r["speedup"] for r in rows]),
+        "efficiency": geomean([r["efficiency"] for r in rows]),
         "per_benchmark": per_benchmark,
         "paper": {"speedup": 1.18, "efficiency": 1.63},
     }
+
+
+#: artefact id -> fold(records, scale). A fold must look up the same
+#: specs whatever the records hold (:func:`plan` relies on it). The
+#: tuples are the paper's Figure 9a/10a averages for F4C2/F4C16/F4C32.
+EXPERIMENTS = {
+    "table1": _table1,
+    "table2": lambda records, scale: run_table2(),
+    "table3": lambda records, scale: run_table3(),
+    "fig9a": lambda records, scale: _single_thread(
+        RODINIA, records, scale, (0.91, 1.12, 1.12)),
+    "fig9b": lambda records, scale: _multi_thread(
+        RODINIA, records, scale, {"mt": 0.95, "simt": 1.2}),
+    "fig10a": lambda records, scale: _single_thread(
+        SPEC, records, scale, (0.81, 0.97, 0.97)),
+    "fig10b": lambda records, scale: _multi_thread(
+        SPEC, records, scale, {"mt": 0.97, "simt": 1.15}),
+    "fig11": _fig11,
+    "fig12": _fig12,
+    "stalls": _stalls,
+    "headline": _headline,
+}
+
+
+class _Probe(dict):
+    """Records that note each spec a fold looks up (see :func:`plan`)."""
+
+    def __missing__(self, spec):
+        record = self[spec] = spec.record()
+        return record
+
+
+def plan(names, scale):
+    """The specs the named artefacts' folds look up, each once, in
+    first-lookup order: folding over empty records finds them, so a plan
+    cannot drift from its fold, and frozen canonical specs compare by
+    value, so equal runs dedupe without building a workload."""
+    probe = _Probe()
+    for name in names:
+        EXPERIMENTS[name](probe, scale)
+    return list(probe)
+
+
+def run_suite(names, scale=1.0):
+    """Each named artefact's result, folded from one ``run_specs``
+    campaign over :func:`plan` (pooled under ``REPRO_JOBS`` > 1)."""
+    specs = plan(names, scale)
+    records = dict(zip(specs, parallel.run_specs(specs)))
+    return {name: EXPERIMENTS[name](records, scale) for name in names}
+
+
+def _alone(name, default_scale=1.0):
+    """``run_<name>(scale)``: artefact ``name`` as a suite of one."""
+    def run(scale=default_scale):
+        return run_suite([name], scale)[name]
+    return run
+
+
+run_table1 = _alone("table1", 0.5)
+run_fig9a = _alone("fig9a")
+run_fig9b = _alone("fig9b")
+run_fig10a = _alone("fig10a")
+run_fig10b = _alone("fig10b")
+run_fig11 = _alone("fig11")
+run_fig12 = _alone("fig12")
+run_stall_breakdown = _alone("stalls")
+run_headline = _alone("headline")

@@ -201,9 +201,12 @@ def _pool(max_workers):
 
 
 def _abandon(pool):
-    """Tear down a pool without joining its workers: terminate them
-    (a ``shutdown(wait=True)`` — or interpreter exit — would block on
-    a hung or still-simulating process otherwise)."""
+    """Tear down a pool without joining its workers: kill them (a
+    ``shutdown(wait=True)`` — or interpreter exit — would block on a
+    hung or still-simulating process otherwise). SIGKILL, not SIGTERM:
+    a forked worker inherits the parent's signal handlers, and one
+    that catches SIGTERM in Python can hang in its own exit path,
+    leaving the parent's exit joining it forever."""
     procs = list((getattr(pool, "_processes", None) or {}).values())
     try:
         pool.shutdown(wait=False, cancel_futures=True)
@@ -211,7 +214,7 @@ def _abandon(pool):
         pass
     for proc in procs:
         try:
-            proc.terminate()
+            proc.kill()
         except Exception:
             pass
 
@@ -599,18 +602,3 @@ def aggregate_stats(records, deterministic=False):
     merged = merge_flat([r.stats for r in records])
     return deterministic_view(merged) if deterministic else merged
 
-
-def prewarm(specs, jobs=None):
-    """Warm the run caches for ``specs`` through the pool, dropping the
-    records. Only worth the fork cost when a persistent disk cache is
-    active (pool workers cannot seed the parent's in-memory cache) and
-    more than one worker is available — otherwise a no-op.
-    """
-    from repro.harness import diskcache
-
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or diskcache.active() is None:
-        return 0
-    pending = list(specs)
-    run_specs(pending, jobs=jobs)
-    return len(pending)

@@ -13,7 +13,7 @@ from repro.faults import (
     run_campaign,
 )
 from repro.harness import clear_cache, run_diag
-from repro.harness.experiments import _single_thread_suite
+from repro.harness import experiments
 from repro.harness.sweeps import sweep_lsu_depth
 from repro.memory import MainMemory
 from repro.workloads.base import Workload, WorkloadInstance
@@ -309,8 +309,10 @@ class TestHarnessDegradation:
         b = run_diag("_broken", config="F4C2")
         assert a is not b
 
-    def test_raising_verifier_does_not_abort_suite(self, fake_workloads):
-        result = _single_thread_suite(["_broken"], scale=0.2)
+    def test_raising_verifier_does_not_abort_suite(self, fake_workloads,
+                                                   monkeypatch):
+        monkeypatch.setattr(experiments, "RODINIA", ["_broken"])
+        result = experiments.run_fig9a(scale=0.2)
         row = result["benchmarks"]["_broken"]
         for config in ("F4C2", "F4C16", "F4C32"):
             assert row[config]["status"] == "error"

@@ -1,12 +1,11 @@
-"""Last-mile integration: CLI sweep, multi-ring energy, pipeview on
-multi-ring runs, and the run_program convenience wrapper."""
+"""Last-mile integration: CLI sweep, multi-ring energy, and the
+run_program convenience wrapper."""
 
 import pytest
 
 from repro.asm import assemble
 from repro.cli import main
 from repro.core import DiAGProcessor, EnergyModel, F4C2, run_program
-from repro.harness.pipeview import PipeTracer
 
 SPMD = """
 main:
@@ -61,17 +60,6 @@ class TestMultiRingEnergy:
         per_ring = sum(s.resident_cluster_cycles
                        for s in result.ring_stats)
         assert result.stats.resident_cluster_cycles == per_ring
-
-
-class TestPipeviewMultiRing:
-    def test_trace_one_ring_of_many(self):
-        program = assemble(SPMD)
-        proc = DiAGProcessor(F4C2, program, num_threads=2)
-        tracer = PipeTracer.attach(proc.rings[1])
-        assert proc.run().halted
-        assert tracer.lives
-        chart = tracer.render(limit=10)
-        assert "cycles" in chart
 
 
 class TestRunProgram:

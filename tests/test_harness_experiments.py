@@ -1,9 +1,14 @@
 """Experiment runners on reduced suites (fast structural checks)."""
 
+import ast
+import json
+from pathlib import Path
+
 import pytest
 
 import repro.harness.experiments as exp
-from repro.harness import clear_cache, render_experiment
+from repro.harness import clear_cache, diskcache, parallel, render_experiment
+from repro.harness.runner import run_diag
 
 SCALE = 0.2
 
@@ -89,9 +94,126 @@ class TestAggregateRunners:
         assert "speedup" in render_experiment("headline", result)
 
     def test_best_simt_record_picks_fastest(self, small_suites):
-        from repro.harness.runner import run_diag
-        best = exp.best_simt_record("hotspot", SCALE)
+        specs = exp.plan(["fig9b"], SCALE)
+        records = dict(zip(specs, parallel.run_specs(specs)))
+        best, _ = exp.best_simt_record(records, "hotspot", SCALE)
         candidates = [run_diag("hotspot", config="F4C32", scale=SCALE,
                                threads=t, num_clusters=c, simt=True)
                       for t, c in exp.SIMT_POINTS]
         assert best.cycles == min(c.cycles for c in candidates)
+
+
+def _simt_cells():
+    return [(name, threads, clusters) for name in exp.RODINIA
+            for threads, clusters in exp.SIMT_POINTS]
+
+
+def _simt_run(name, threads, clusters):
+    return run_diag(name, config="F4C32", scale=SCALE, threads=threads,
+                    num_clusters=clusters, simt=True)
+
+
+def test_folds_leave_cached_records_alone(small_suites):
+    """``regions_any_point`` belongs to the figure row, never to the
+    record the run cache hands out afterwards."""
+    exp.run_fig9b(scale=SCALE)
+    served = {cell: _simt_run(*cell).extra for cell in _simt_cells()}
+    clear_cache()
+    for cell in _simt_cells():
+        assert set(served[cell]) == set(_simt_run(*cell).extra), cell
+
+
+FIGURES = ("fig9b", "fig12")
+
+
+def _figures():
+    return json.dumps({name: getattr(exp, f"run_{name}")(scale=SCALE)
+                       for name in FIGURES}, sort_keys=True)
+
+
+def test_figures_identical_however_executed(small_suites, monkeypatch,
+                                            tmp_path):
+    """Serial, pooled, pooled into a cold disk cache and replayed from
+    it warm: the same figures, byte for byte."""
+    runs = []
+    try:
+        for jobs, cache in (("1", None), ("2", None), ("2", tmp_path),
+                            ("2", tmp_path)):
+            monkeypatch.setenv("REPRO_JOBS", jobs)
+            diskcache.configure(cache)
+            clear_cache()
+            runs.append(_figures())
+        assert diskcache.active().stats()["entries"] > 0
+    finally:
+        diskcache.reset()
+    assert runs == [runs[0]] * len(runs)
+    suite = exp.run_suite(list(FIGURES), SCALE)
+    assert json.dumps(suite, sort_keys=True) == runs[0]
+
+
+def test_suite_is_one_deduplicated_campaign(small_suites, monkeypatch):
+    calls = []
+
+    def recorder(specs, **kwargs):
+        specs = list(specs)
+        calls.append(specs)
+        return [spec.record() for spec in specs]
+
+    monkeypatch.setattr(parallel, "run_specs", recorder)
+    names = ["fig9b", "fig12", "headline"]
+    exp.run_suite(names, SCALE)
+    [specs] = calls
+    assert len(set(specs)) == len(specs)
+    plans = [exp.plan([name], SCALE) for name in names]
+    assert set(specs) == set().union(*plans)
+    assert len(specs) < sum(len(plan) for plan in plans)
+
+
+#: names through which an artefact could run a cell outside the one
+#: campaign; run_diag/run_baseline may only be re-exported (the repo
+#: benchmark's span probes patch them on the module), never used
+BYPASSES = {"run_diag", "run_baseline", "run_spec", "prewarm"}
+
+
+def campaign_violations(tree):
+    """Uses of a bypass name, imports of a cell executor other than the
+    re-exports, and the number of ``run_specs`` call sites that are not
+    looked up on the ``parallel`` module at call time."""
+    found = []
+    sites = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in BYPASSES:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in BYPASSES:
+            found.append(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [alias.name for alias in node.names
+                      if alias.name in {"run_spec", "prewarm",
+                                        "run_specs"}]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) \
+                    and func.attr == "run_specs" \
+                    and getattr(func.value, "id", None) == "parallel":
+                sites += 1
+            elif getattr(func, "id", None) == "run_specs":
+                found.append("run_specs")
+    return found, sites
+
+
+def test_experiments_run_cells_only_through_one_campaign():
+    path = Path(exp.__file__)
+    found, sites = campaign_violations(ast.parse(path.read_text()))
+    assert not found, f"{path.name} runs cells outside run_specs: {found}"
+    assert sites == 1
+
+
+@pytest.mark.parametrize("source", [
+    "run_diag('nn')",
+    "from repro.harness.parallel import prewarm",
+    "from repro.harness.parallel import run_specs",
+    "runner.run_spec(spec)",
+    "run_specs(specs)",
+])
+def test_campaign_guard_catches_bypasses(source):
+    assert campaign_violations(ast.parse(source))[0]

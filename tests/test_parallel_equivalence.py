@@ -218,11 +218,6 @@ class TestDegradation:
         [record] = run_specs(EQUIV_SPECS[:1], jobs=8)
         assert record.status == "ok"
 
-    def test_prewarm_noop_without_disk_cache(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_pool", lambda n: pytest.fail(
-            "prewarm forked with no disk cache active"))
-        assert parallel.prewarm(EQUIV_SPECS, jobs=4) == 0
-
     def test_workers_exit_when_parent_is_killed(self):
         """A SIGKILLed parent runs no shutdown; its idle workers, blocked
         on the call queue, must still end on their own."""
@@ -243,6 +238,27 @@ class TestDegradation:
         for pid in survivors:
             os.kill(pid, signal.SIGKILL)
         assert not survivors, f"orphaned pool workers: {survivors}"
+
+
+    def test_abandon_kills_workers_whatever_their_sigterm_handler(self):
+        """Forked workers inherit the parent's Python SIGTERM handler,
+        here one that never returns; abandoning the pool must still end
+        them, or the parent's exit joins them forever."""
+        previous = signal.signal(signal.SIGTERM, lambda *_: time.sleep(60))
+        try:
+            pool = parallel._pool(2)
+            list(pool.map(abs, range(4)))
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        workers = list(pool._processes)
+        parallel._abandon(pool)
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if _alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, f"abandoned workers still alive: {survivors}"
 
 
 #: builds a 2-worker pool, starts both workers, prints their pids and

@@ -1,143 +1,8 @@
-"""Pipeline viewer + 64-bit area projection (paper Section 6.1.1)."""
+"""64-bit area projection (paper Section 6.1.1)."""
 
 import pytest
 
-from repro.asm import assemble
-from repro.core import DiAGProcessor, EnergyModel, F4C2, F4C32
-from repro.harness.pipeview import PipeTracer
-
-
-class TestPipeTracer:
-    def _traced_run(self, src):
-        program = assemble(src)
-        proc = DiAGProcessor(F4C2, program)
-        tracer = PipeTracer.attach(proc.rings[0])
-        result = proc.run()
-        assert result.halted
-        return tracer
-
-    def test_records_lifetimes(self):
-        tracer = self._traced_run("""
-        li t0, 1
-        li t1, 2
-        add t2, t0, t1
-        mul t3, t2, t2
-        ebreak
-        """)
-        assert len(tracer.lives) >= 5
-        lives = sorted(tracer.lives.values(), key=lambda l: l.seq)
-        add = next(l for l in lives if "add" in l.label)
-        assert add.dispatch >= 0
-        assert add.final_state == "retired"
-
-    def test_render_contains_marks(self):
-        tracer = self._traced_run("""
-        li t0, 0
-        li t1, 8
-        loop:
-        addi t0, t0, 1
-        blt t0, t1, loop
-        ebreak
-        """)
-        chart = tracer.render(limit=20)
-        assert "cycles" in chart
-        assert "addi" in chart
-        assert "R" in chart  # at least one retirement marked
-
-    def test_render_empty(self):
-        program = assemble("ebreak\n")
-        proc = DiAGProcessor(F4C2, program)
-        tracer = PipeTracer(ring=proc.rings[0])
-        assert "no instructions" in tracer.render()
-
-    def test_squash_rendered(self):
-        # forward taken branch leaves squashed/disabled shadows
-        tracer = self._traced_run("""
-        li t0, 1
-        bnez t0, over
-        addi t1, t1, 1
-        addi t1, t1, 2
-        over:
-        ebreak
-        """)
-        chart = tracer.render(limit=30)
-        assert "x" in chart or "d" in chart
-
-    def test_limit_respected(self):
-        tracer = self._traced_run("""
-        li t0, 0
-        li t1, 64
-        loop:
-        addi t0, t0, 1
-        blt t0, t1, loop
-        ebreak
-        """)
-        chart = tracer.render(limit=5)
-        # header + at most 5 rows
-        assert len(chart.splitlines()) <= 6
-
-    LOOP_SRC = """
-    li t0, 0
-    li t1, 64
-    loop:
-    addi t0, t0, 1
-    blt t0, t1, loop
-    ebreak
-    """
-
-    def test_overflow_renders_dropped_marker(self):
-        program = assemble(self.LOOP_SRC)
-        proc = DiAGProcessor(F4C2, program)
-        tracer = PipeTracer.attach(proc.rings[0], max_entries=4)
-        assert proc.run().halted
-        assert len(tracer.lives) == 4
-        assert tracer.dropped > 0
-        assert f"... {tracer.dropped} entries dropped" \
-            in tracer.render()
-
-    def test_dropped_counts_each_entry_once(self):
-        program = assemble(self.LOOP_SRC)
-        proc = DiAGProcessor(F4C2, program)
-        tracer = PipeTracer.attach(proc.rings[0], max_entries=1)
-        assert proc.run().halted
-        # each untraced entry counts once, however many cycles it
-        # lingered in the window: re-sampling must not inflate it
-        before = tracer.dropped
-        tracer.sample()
-        assert tracer.dropped == before
-
-    def test_no_marker_without_drops(self):
-        tracer = self._traced_run("""
-        li t0, 1
-        ebreak
-        """)
-        assert tracer.dropped == 0
-        assert "dropped" not in tracer.render()
-
-    def test_reattach_replaces_instead_of_stacking(self):
-        program = assemble(self.LOOP_SRC)
-        proc = DiAGProcessor(F4C2, program)
-        ring = proc.rings[0]
-        unwrapped = ring.step
-        first = PipeTracer.attach(ring)
-        second = PipeTracer.attach(ring)
-        assert ring._pipetracer is second
-        assert proc.run().halted
-        # the replaced tracer stopped sampling; the live one records
-        assert not first.lives
-        assert len(second.lives) >= 5
-        second.detach()
-        assert ring.step == unwrapped
-
-    def test_detach_stops_sampling(self):
-        program = assemble(self.LOOP_SRC)
-        proc = DiAGProcessor(F4C2, program)
-        tracer = PipeTracer.attach(proc.rings[0])
-        tracer.detach()
-        assert proc.run().halted
-        assert not tracer.lives
-        # double-detach is harmless
-        tracer.detach()
+from repro.core import EnergyModel, F4C32
 
 
 class TestArea64Bit:
